@@ -23,7 +23,7 @@ use crate::calib::{
     DRAM_ACCESS_BYTES, FEATURE_BYTES, HIHGNN_CLOCK_GHZ, HIHGNN_LANES, HIHGNN_SIMD_OPS,
     HIHGNN_SYSTOLIC_MACS, RAW_FEATURE_DENSITY,
 };
-use crate::na_engine::NaBufferSim;
+use crate::na_engine::{self, NaBufferSim};
 use crate::report::{ExecReport, StageBreakdown};
 
 /// Raw-feature DRAM region base per vertex type.
@@ -108,13 +108,10 @@ pub struct HiHgnnRun {
 }
 
 impl HiHgnnRun {
-    /// Replacement-times table over **source** features (Fig. 2 data).
+    /// Replacement-times table over **source** features (Fig. 2 data),
+    /// in tag order.
     pub fn src_replacement_times(&self) -> Vec<u32> {
-        self.na_fetch_counts
-            .iter()
-            .filter(|(&t, _)| t >> 40 == 0)
-            .map(|(_, &f)| f.saturating_sub(1))
-            .collect()
+        na_engine::src_replacement_times(&self.na_fetch_counts)
     }
 
     /// The accelerator's platform-specific report extras (`cycles`,
@@ -163,8 +160,8 @@ pub struct HiHgnnSim {
 /// The pooled state of one [`HiHgnnSim`].
 #[derive(Debug, Default)]
 struct HiHgnnScratch {
-    /// NA buffer + per-wave request log; its fetch counters aggregate
-    /// across waves within one execution.
+    /// NA buffer, per-wave request log and fetch counts; the counts
+    /// aggregate across waves within one execution.
     na: BufferScratch,
     /// Full-execution DRAM request trace.
     requests: Vec<MemRequest>,
@@ -373,9 +370,9 @@ impl HiHgnnSim {
                 .iter()
                 .map(|&gi| (&graphs[gi], all_schedules[gi], gi as u64))
                 .collect();
-            // The pooled buffer is flushed per wave (fresh residency,
-            // identical stats) while its fetch counters aggregate the
-            // waves — tags are graph-namespaced, so the final table is
+            // The pooled buffer is reset per wave (fresh residency,
+            // identical stats) while the scratch's fetch counts aggregate
+            // the waves — tags are graph-namespaced, so the final table is
             // exactly the per-wave sum. Fig. 2 reports per-NA-pass
             // replacement times; deeper layers repeat the same pattern,
             // so one pass is recorded.
@@ -400,9 +397,7 @@ impl HiHgnnSim {
         // Move the aggregated counters out in one right-sized allocation
         // (the previous execution's table size is the capacity hint).
         let mut na_fetch_counts: HashMap<u64, u32> = HashMap::with_capacity((*counts_hint).max(16));
-        if let Some(buf) = &na.buffer {
-            na_fetch_counts.extend(buf.fetch_counts().iter().map(|(&t, &f)| (t, f)));
-        }
+        na_fetch_counts.extend(na.fetch_counts.iter().map(|(&t, &f)| (t, f)));
         *counts_hint = na_fetch_counts.len();
 
         let stats = hbm.stats().clone();
@@ -550,9 +545,13 @@ mod tests {
             na_buffer_bytes: 128 * 1024,
             ..HiHgnnConfig::default()
         };
-        let run = HiHgnnSim::new(cfg).execute(&w, &graphs, None, "HiHGNN");
+        let run = HiHgnnSim::new(cfg.clone()).execute(&w, &graphs, None, "HiHGNN");
         let rt = run.src_replacement_times();
         assert!(rt.iter().any(|&r| r > 0), "expected feature refetches");
+        assert!(rt.contains(&0), "expected single fetches too");
+        // tag order, not hash order: a second sim with its own table agrees
+        let again = HiHgnnSim::new(cfg).execute(&w, &graphs, None, "HiHGNN");
+        assert_eq!(again.src_replacement_times(), rt);
     }
 
     #[test]

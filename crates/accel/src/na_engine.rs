@@ -28,15 +28,18 @@ fn tag(graph_tag: u64, is_dst: bool, id: u32) -> u64 {
 
 /// One edge's buffer traffic: a source feature read and a destination
 /// partial-sum read-modify-write, with dirty accumulator write-backs.
+/// Every miss is a fetch, counted per tag in `fetch_counts`.
 fn access_edge(
     buf: &mut SetAssocBuffer,
     requests: &mut Vec<MemRequest>,
+    fetch_counts: &mut HashMap<u64, u32>,
     graph_tag: u64,
     e: &gdr_hetgraph::Edge,
     fb: u32,
 ) {
     let t = tag(graph_tag, false, e.src.raw());
     if let Access::Miss { .. } = buf.access(t) {
+        *fetch_counts.entry(t).or_insert(0) += 1;
         requests.push(MemRequest::read(
             SRC_BASE + e.src.raw() as u64 * fb as u64,
             fb,
@@ -44,6 +47,7 @@ fn access_edge(
     }
     let t = tag(graph_tag, true, e.dst.raw());
     if let Access::Miss { evicted } = buf.access(t) {
+        *fetch_counts.entry(t).or_insert(0) += 1;
         requests.push(MemRequest::read(
             DST_BASE + e.dst.raw() as u64 * fb as u64,
             fb,
@@ -92,14 +96,23 @@ impl NaTrace {
 
     /// Replacement times of **source** features only (the statistic
     /// Fig. 2 plots: how often a neighbor's feature vector had to be
-    /// re-fetched during aggregation).
+    /// re-fetched during aggregation), in tag order.
     pub fn src_replacement_times(&self) -> Vec<u32> {
-        self.fetch_counts
-            .iter()
-            .filter(|(&t, _)| t >> 40 == 0)
-            .map(|(_, &f)| f.saturating_sub(1))
-            .collect()
+        src_replacement_times(&self.fetch_counts)
     }
+}
+
+/// Replacement times (fetches − 1) of the source-feature tags in a
+/// fetch-count table, in tag order — independent of the table's hash
+/// seed, so two runs of one model return equal vectors.
+pub(crate) fn src_replacement_times(fetch_counts: &HashMap<u64, u32>) -> Vec<u32> {
+    let mut src: Vec<(u64, u32)> = fetch_counts
+        .iter()
+        .filter(|(&t, _)| t >> 40 == 0)
+        .map(|(&t, &f)| (t, f.saturating_sub(1)))
+        .collect();
+    src.sort_unstable();
+    src.into_iter().map(|(_, r)| r).collect()
 }
 
 /// The NA buffer simulator.
@@ -170,9 +183,10 @@ impl NaBufferSim {
 
     /// [`NaBufferSim::simulate_wave`] over caller-pooled scratch. The
     /// returned stats cover this wave only; the DRAM request trace is
-    /// left in `scratch.requests` and the buffer's fetch counters keep
-    /// aggregating across waves (tags are graph-namespaced) until the
-    /// caller resets the scratch. Per-wave residency, stats, and
+    /// left in `scratch.requests`, and each miss adds one to
+    /// `scratch.fetch_counts`, which keeps aggregating across waves (tags
+    /// are graph-namespaced) until the caller resets the scratch or
+    /// changes the buffer geometry. Per-wave residency, stats, and
     /// requests are identical to the transient-buffer path.
     pub fn simulate_wave_with(
         &self,
@@ -181,7 +195,8 @@ impl NaBufferSim {
         chunk: usize,
     ) -> BufferStats {
         assert!(chunk > 0, "chunk must be positive");
-        let (buf, requests) = scratch.prepare(self.capacity_features, self.ways, self.policy);
+        let (buf, requests, counts) =
+            scratch.prepare(self.capacity_features, self.ways, self.policy);
         let fb = FEATURE_BYTES as u32;
 
         // Topology streams per lane.
@@ -200,7 +215,7 @@ impl NaBufferSim {
                 }
                 let end = (cursors[i] + chunk).min(edges.len());
                 for e in &edges[cursors[i]..end] {
-                    access_edge(buf, requests, graph_tag, e, fb);
+                    access_edge(buf, requests, counts, graph_tag, e, fb);
                 }
                 cursors[i] = end;
                 if cursors[i] < edges.len() {
@@ -230,7 +245,8 @@ impl NaBufferSim {
     /// (the state [`restructure_with`](gdr_core::restructure::Restructurer::restructure_with)
     /// leaves behind). Same contract as
     /// [`NaBufferSim::simulate_wave_with`]: per-run stats returned,
-    /// requests in `scratch.requests`, fetch counters aggregating.
+    /// requests in `scratch.requests`, fetch counts aggregating in
+    /// `scratch.fetch_counts`.
     pub fn simulate_edges_with(
         &self,
         scratch: &mut BufferScratch,
@@ -238,7 +254,8 @@ impl NaBufferSim {
         edges: &[gdr_hetgraph::Edge],
         graph_tag: u64,
     ) -> BufferStats {
-        let (buf, requests) = scratch.prepare(self.capacity_features, self.ways, self.policy);
+        let (buf, requests, counts) =
+            scratch.prepare(self.capacity_features, self.ways, self.policy);
         let fb = FEATURE_BYTES as u32;
 
         // Topology streaming: the edge list itself (8 B per edge), read
@@ -246,7 +263,7 @@ impl NaBufferSim {
         stream_topology(requests, g, graph_tag);
 
         for e in edges {
-            access_edge(buf, requests, graph_tag, e, fb);
+            access_edge(buf, requests, counts, graph_tag, e, fb);
         }
         // Flush: every destination written once at the end (finished
         // accumulators stream out to the SF stage's DRAM region).
@@ -262,11 +279,7 @@ impl NaBufferSim {
             hits: stats.hits,
             misses: stats.misses,
             requests: std::mem::take(&mut scratch.requests),
-            fetch_counts: scratch
-                .buffer
-                .as_mut()
-                .map(SetAssocBuffer::take_fetch_counts)
-                .unwrap_or_default(),
+            fetch_counts: std::mem::take(&mut scratch.fetch_counts),
         }
     }
 }
@@ -300,6 +313,7 @@ mod tests {
     use gdr_core::backbone::BackboneStrategy;
     use gdr_core::restructure::Restructurer;
     use gdr_hetgraph::gen::PowerLawConfig;
+    use gdr_hetgraph::Edge;
 
     fn graph() -> BipartiteGraph {
         PowerLawConfig::new(600, 600, 4800)
@@ -356,6 +370,59 @@ mod tests {
     }
 
     #[test]
+    fn replacement_times_track_refetches() {
+        // A one-line buffer: every fetch evicts the previous line, so
+        // source 0 is fetched twice, source 1 once, destination 0 thrice.
+        let g = BipartiteGraph::from_pairs("t", 2, 1, &[(0, 0), (1, 0)]).unwrap();
+        let edges = [Edge::new(0, 0), Edge::new(1, 0), Edge::new(0, 0)];
+        let mut scratch = BufferScratch::default();
+        NaBufferSim::new(1, 1).simulate_edges_with(&mut scratch, &g, &edges, 0);
+        assert_eq!(scratch.fetch_counts[&tag(0, true, 0)], 3);
+        assert_eq!(src_replacement_times(&scratch.fetch_counts), vec![1, 0]);
+    }
+
+    #[test]
+    fn fetch_counts_aggregate_until_geometry_change_or_reset() {
+        let g = graph();
+        let sched = EdgeSchedule::dst_major(&g);
+        let sim = NaBufferSim::new(64, 8);
+        let fresh = sim.simulate(&g, &sched, 0);
+        let mut scratch = BufferScratch::default();
+        sim.simulate_edges_with(&mut scratch, &g, sched.edges(), 0);
+        // residency and stats restart per run…
+        let stats = sim.simulate_edges_with(&mut scratch, &g, sched.edges(), 0);
+        assert_eq!((stats.hits, stats.misses), (fresh.hits, fresh.misses));
+        // …while the counts aggregate across prepares
+        let doubled: HashMap<u64, u32> = fresh
+            .fetch_counts
+            .iter()
+            .map(|(&t, &f)| (t, 2 * f))
+            .collect();
+        assert_eq!(scratch.fetch_counts, doubled);
+        // a geometry change starts them over
+        let other = NaBufferSim::new(32, 4).with_policy(Replacement::Lru);
+        other.simulate_edges_with(&mut scratch, &g, sched.edges(), 0);
+        assert_eq!(
+            scratch.fetch_counts,
+            other.simulate(&g, &sched, 0).fetch_counts
+        );
+        scratch.reset();
+        assert!(scratch.fetch_counts.is_empty());
+    }
+
+    #[test]
+    fn src_replacement_times_are_in_tag_order() {
+        // two runs, each with its own (differently seeded) count table
+        let g = graph();
+        let sched = EdgeSchedule::random(&g, 3);
+        let sim = NaBufferSim::new(64, 8);
+        let a = sim.simulate(&g, &sched, 0).src_replacement_times();
+        let b = sim.simulate(&g, &sched, 0).src_replacement_times();
+        assert!(a.iter().any(|&r| r != a[0]), "premise: counts differ");
+        assert_eq!(a, b);
+    }
+
+    #[test]
     fn trace_contains_topology_and_flush() {
         let g = BipartiteGraph::from_pairs("t", 2, 2, &[(0, 0), (1, 1)]).unwrap();
         let sim = NaBufferSim::new(16, 4);
@@ -404,8 +471,7 @@ mod tests {
             for (t, f) in &fresh.fetch_counts {
                 *expected_counts.entry(*t).or_insert(0) += f;
             }
-            let buf = scratch.buffer.as_ref().unwrap();
-            assert_eq!(buf.fetch_counts(), &expected_counts, "seed {seed}");
+            assert_eq!(scratch.fetch_counts, expected_counts, "seed {seed}");
         }
     }
 

@@ -47,7 +47,7 @@
 //! }
 //! ```
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 use gdr_hetgraph::Edge;
 use gdr_memsim::buffer::{Replacement, SetAssocBuffer};
@@ -59,50 +59,67 @@ use crate::matching::Matching;
 use crate::recouple::{RestructuredSubgraphs, VertexPartition};
 
 /// Pooled set-associative buffer simulation state: one
-/// [`SetAssocBuffer`] (kept across runs, [`SetAssocBuffer::flush`]ed
-/// between them so its fetch counters can aggregate) plus a DRAM
-/// request-log vector, both `clear()`ed, never dropped. The NA-engine
-/// models drive their `_with` entry points through one of these instead
-/// of constructing transient buffers per wave.
+/// [`SetAssocBuffer`] (kept across runs, [`SetAssocBuffer::reset`] between
+/// them), a DRAM request-log vector, and the per-tag fetch counts the NA
+/// engine records on every miss (Fig. 2's "replacement times" statistic:
+/// replacement times = fetches − 1). Everything is `clear()`ed, never
+/// dropped. The NA-engine models drive their `_with` entry points through
+/// one of these instead of constructing transient buffers per wave.
 #[derive(Debug, Clone, Default)]
 pub struct BufferScratch {
     /// Pooled buffer; `None` until the first [`BufferScratch::prepare`].
     pub buffer: Option<SetAssocBuffer>,
     /// Pooled DRAM request log (cleared per prepare, capacity kept).
     pub requests: Vec<MemRequest>,
+    /// Fetches per tag, aggregated across runs at one geometry: kept by
+    /// [`BufferScratch::prepare`], cleared by a geometry change and by
+    /// [`BufferScratch::reset`].
+    pub fetch_counts: HashMap<u64, u32>,
 }
 
 impl BufferScratch {
     /// Readies the scratch for one simulation run at the given buffer
     /// geometry: the request log is cleared and the pooled buffer is
-    /// flushed (residency and stats restart; **fetch counters are
-    /// kept**, aggregating across runs until [`BufferScratch::reset`]).
-    /// A geometry change reshapes the buffer in place, which resets the
-    /// counters too.
+    /// reset (residency and stats restart; **fetch counts are kept**,
+    /// aggregating across runs until [`BufferScratch::reset`]). A
+    /// geometry change reshapes the buffer in place and clears the
+    /// counts too.
     pub fn prepare(
         &mut self,
         capacity_lines: usize,
         ways: usize,
         policy: Replacement,
-    ) -> (&mut SetAssocBuffer, &mut Vec<MemRequest>) {
+    ) -> (
+        &mut SetAssocBuffer,
+        &mut Vec<MemRequest>,
+        &mut HashMap<u64, u32>,
+    ) {
         self.requests.clear();
         let sets = (capacity_lines / ways).max(1);
         match &mut self.buffer {
             Some(buf) if buf.sets() == sets && buf.ways() == ways && buf.policy() == policy => {
-                buf.flush();
+                buf.reset();
             }
-            Some(buf) => buf.reshape(sets, ways, policy),
-            None => self.buffer = Some(SetAssocBuffer::new(sets, ways, policy)),
+            Some(buf) => {
+                buf.reshape(sets, ways, policy);
+                self.fetch_counts.clear();
+            }
+            None => {
+                self.buffer = Some(SetAssocBuffer::new(sets, ways, policy));
+                self.fetch_counts.clear();
+            }
         }
         (
             self.buffer.as_mut().expect("just ensured"),
             &mut self.requests,
+            &mut self.fetch_counts,
         )
     }
 
-    /// Clears everything, fetch counters included (capacity kept).
+    /// Clears everything, fetch counts included (capacity kept).
     pub fn reset(&mut self) {
         self.requests.clear();
+        self.fetch_counts.clear();
         if let Some(buf) = &mut self.buffer {
             buf.reset();
         }
@@ -254,5 +271,25 @@ mod tests {
         assert_eq!(reused.capacity(), cap, "recycling must keep capacity");
         // pool drained again: the next take is fresh
         assert_eq!(ws.take_request_log().capacity(), 0);
+    }
+
+    #[test]
+    fn fetch_counts_aggregate_until_geometry_change_or_reset() {
+        let mut scratch = BufferScratch::default();
+        let (_, _, counts) = scratch.prepare(64, 8, Replacement::Fifo);
+        counts.insert(7, 2);
+        // same geometry: counts aggregate across prepares
+        let (buf, _, counts) = scratch.prepare(64, 8, Replacement::Fifo);
+        assert_eq!(buf.stats().accesses, 0);
+        assert_eq!(counts.get(&7), Some(&2));
+        // a geometry change clears them
+        scratch.prepare(64, 4, Replacement::Fifo).2.insert(9, 1);
+        let (buf, _, counts) = scratch.prepare(64, 4, Replacement::Lru);
+        assert_eq!((buf.ways(), buf.policy()), (4, Replacement::Lru));
+        assert!(counts.is_empty());
+        // and so does reset
+        counts.insert(9, 1);
+        scratch.reset();
+        assert!(scratch.fetch_counts.is_empty());
     }
 }

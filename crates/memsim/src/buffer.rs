@@ -1,12 +1,13 @@
-//! Set-associative on-chip buffer model with per-tag replacement counters.
+//! Set-associative on-chip buffer model.
 //!
 //! This is the hardware-accurate counterpart of `gdr-core`'s idealized LRU
 //! analysis: HiHGNN's NA buffer is organized set-associatively, so
-//! conflict misses add to the thrashing the paper measures in Fig. 2. The
-//! per-tag fetch counters are exactly the "replacement times of vertices'
-//! features" statistic.
-
-use std::collections::HashMap;
+//! conflict misses add to the thrashing the paper measures in Fig. 2, and
+//! the GPU baselines' L2 is modelled the same way at sector granularity.
+//! The buffer is a pure cache model — residency, hits, misses and victims.
+//! Per-tag fetch counting (the "replacement times of vertices' features"
+//! statistic) lives with its one reader, the NA engine's
+//! `gdr_core::workspace::BufferScratch`.
 
 /// Replacement policy of a buffer set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -64,6 +65,10 @@ impl BufferStats {
 /// A set-associative buffer addressed by opaque 64-bit tags (one tag = one
 /// resident feature vector / line).
 ///
+/// Each set keeps its tags in replacement order, newest first: an LRU hit
+/// moves the tag to the front, a FIFO hit leaves the order alone, and a
+/// miss evicts the last filled way and inserts at the front.
+///
 /// # Examples
 ///
 /// ```
@@ -78,11 +83,11 @@ pub struct SetAssocBuffer {
     sets: usize,
     ways: usize,
     policy: Replacement,
-    // ways entries per set: (tag, last_use or insert stamp)
-    lines: Vec<Vec<(u64, u64)>>,
-    clock: u64,
+    // sets × ways tags, set-major; within a set, index 0 is the newest
+    tags: Vec<u64>,
+    // filled ways per set
+    fill: Vec<u32>,
     stats: BufferStats,
-    fetch_counts: HashMap<u64, u32>,
 }
 
 impl SetAssocBuffer {
@@ -97,10 +102,9 @@ impl SetAssocBuffer {
             sets,
             ways,
             policy,
-            lines: vec![Vec::new(); sets],
-            clock: 0,
+            tags: vec![0; sets * ways],
+            fill: vec![0; sets],
             stats: BufferStats::default(),
-            fetch_counts: HashMap::new(),
         }
     }
 
@@ -136,107 +140,172 @@ impl SetAssocBuffer {
         &self.stats
     }
 
-    fn set_of(&self, tag: u64) -> usize {
-        // Fibonacci hashing spreads structured vertex ids across sets.
-        ((tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % self.sets as u64) as usize
-    }
-
     /// Touches `tag`, fetching it on a miss.
     pub fn access(&mut self, tag: u64) -> Access {
-        self.clock += 1;
         self.stats.accesses += 1;
-        let set = self.set_of(tag);
-        let lines = &mut self.lines[set];
-        if let Some(entry) = lines.iter_mut().find(|(t, _)| *t == tag) {
+        let set = set_index(tag, self.sets);
+        let filled = self.fill[set] as usize;
+        let lines = &mut self.tags[set * self.ways..(set + 1) * self.ways];
+        if let Some(i) = lines[..filled].iter().position(|&t| t == tag) {
             if self.policy == Replacement::Lru {
-                entry.1 = self.clock;
+                lines[..=i].rotate_right(1);
             }
             self.stats.hits += 1;
             return Access::Hit;
         }
         self.stats.misses += 1;
-        *self.fetch_counts.entry(tag).or_insert(0) += 1;
-        let evicted = if lines.len() == self.ways {
-            let (victim_idx, _) = lines
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .expect("set is full");
-            let victim = lines.swap_remove(victim_idx).0;
+        let evicted = if filled == self.ways {
             self.stats.evictions += 1;
-            Some(victim)
+            Some(lines[filled - 1])
         } else {
+            self.fill[set] += 1;
             None
         };
-        lines.push((tag, self.clock));
+        // the victim (or the free way) rotates to the front and is replaced
+        lines[..self.fill[set] as usize].rotate_right(1);
+        lines[0] = tag;
         Access::Miss { evicted }
     }
 
     /// Probes residency without changing state or statistics.
     pub fn contains(&self, tag: u64) -> bool {
-        self.lines[self.set_of(tag)].iter().any(|(t, _)| *t == tag)
+        let set = set_index(tag, self.sets);
+        self.tags[set * self.ways..][..self.fill[set] as usize].contains(&tag)
     }
 
-    /// Number of times each tag was fetched. Replacement times of a tag =
-    /// `fetches - 1` (Fig. 2's statistic).
-    pub fn fetch_counts(&self) -> &HashMap<u64, u32> {
-        &self.fetch_counts
-    }
-
-    /// Replacement-times table over all tags ever seen.
-    pub fn replacement_times(&self) -> Vec<(u64, u32)> {
-        let mut v: Vec<(u64, u32)> = self
-            .fetch_counts
-            .iter()
-            .map(|(&t, &f)| (t, f.saturating_sub(1)))
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Invalidates everything and clears statistics, **keeping** the
-    /// accumulated fetch counters. A flushed buffer behaves exactly like
-    /// a freshly constructed one on its next access stream (residency,
-    /// stamps, and stats all start over), which is what lets one pooled
-    /// buffer stand in for a sequence of transient ones while the fetch
-    /// counters keep aggregating across the sequence.
-    pub fn flush(&mut self) {
-        self.lines.iter_mut().for_each(|l| l.clear());
-        self.clock = 0;
+    /// Invalidates everything and clears statistics. A reset buffer
+    /// behaves exactly like a freshly constructed one on its next access
+    /// stream, which is what lets one pooled buffer stand in for a
+    /// sequence of transient ones.
+    pub fn reset(&mut self) {
+        self.fill.fill(0);
         self.stats = BufferStats::default();
     }
 
-    /// Invalidates everything and clears statistics and fetch counters.
-    pub fn reset(&mut self) {
-        self.flush();
-        self.fetch_counts.clear();
-    }
-
     /// Re-geometries the buffer in place (reusing the line storage where
-    /// possible) and fully resets it, fetch counters included.
+    /// possible) and resets it.
     ///
     /// # Panics
     ///
     /// Panics if `sets == 0` or `ways == 0`.
     pub fn reshape(&mut self, sets: usize, ways: usize, policy: Replacement) {
         assert!(sets > 0 && ways > 0, "degenerate buffer geometry");
-        self.lines.resize_with(sets, Vec::new);
+        self.tags.resize(sets * ways, 0);
+        self.fill.resize(sets, 0);
         self.sets = sets;
         self.ways = ways;
         self.policy = policy;
         self.reset();
     }
+}
 
-    /// Moves the fetch counters out, leaving an empty (but
-    /// capacity-preserving) table behind.
-    pub fn take_fetch_counts(&mut self) -> HashMap<u64, u32> {
-        std::mem::take(&mut self.fetch_counts)
-    }
+/// Set of `tag` among `sets`: Fibonacci hashing spreads structured vertex
+/// ids across sets.
+fn set_index(tag: u64, sets: usize) -> usize {
+    ((tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % sets as u64) as usize
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The stamp-based implementation the recency-ordered sets replaced,
+    /// kept as the exactness oracle: one `(tag, stamp)` vector per set,
+    /// the stamp being the last use (LRU) or the insertion (FIFO), and the
+    /// victim the smallest stamp.
+    struct Reference {
+        ways: usize,
+        policy: Replacement,
+        lines: Vec<Vec<(u64, u64)>>,
+        clock: u64,
+        stats: BufferStats,
+    }
+
+    impl Reference {
+        fn access(&mut self, tag: u64) -> Access {
+            self.clock += 1;
+            self.stats.accesses += 1;
+            let set = set_index(tag, self.lines.len());
+            let lines = &mut self.lines[set];
+            if let Some(entry) = lines.iter_mut().find(|(t, _)| *t == tag) {
+                if self.policy == Replacement::Lru {
+                    entry.1 = self.clock;
+                }
+                self.stats.hits += 1;
+                return Access::Hit;
+            }
+            self.stats.misses += 1;
+            let evicted = (lines.len() == self.ways).then(|| {
+                let victim = (0..lines.len()).min_by_key(|&i| lines[i].1).unwrap();
+                self.stats.evictions += 1;
+                lines.swap_remove(victim).0
+            });
+            lines.push((tag, self.clock));
+            Access::Miss { evicted }
+        }
+
+        fn contains(&self, tag: u64) -> bool {
+            let set = set_index(tag, self.lines.len());
+            self.lines[set].iter().any(|(t, _)| *t == tag)
+        }
+    }
+
+    /// `len` xorshift-drawn tags over `0..=2 × capacity`, uniform or
+    /// skewed toward small tags (a squared draw: hot lines hit, the tail
+    /// thrashes). Tag 0 is drawn too, the value unfilled ways hold.
+    fn tag_stream(seed: u64, capacity: usize, skewed: bool, len: usize) -> Vec<u64> {
+        let universe = 2 * capacity as u64 + 1;
+        let mut x = 2 * seed + 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let r = x % universe;
+                if skewed {
+                    r * r / universe
+                } else {
+                    r
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn matches_stamp_reference_exactly() {
+        for seed in 0..48u64 {
+            for policy in [Replacement::Lru, Replacement::Fifo] {
+                for (sets, ways) in [(1, 1), (1, 16), (7, 3), (512, 16), (8, 8)] {
+                    for skewed in [false, true] {
+                        let ctx = format!("seed {seed} {policy:?} {sets}x{ways} skewed {skewed}");
+                        let len = 3 * sets * ways + 64;
+                        let stream = tag_stream(seed, sets * ways, skewed, len);
+                        let mut buf = SetAssocBuffer::new(sets, ways, policy);
+                        let mut oracle = Reference {
+                            ways,
+                            policy,
+                            lines: vec![Vec::new(); sets],
+                            clock: 0,
+                            stats: BufferStats::default(),
+                        };
+                        for (i, &t) in stream.iter().enumerate() {
+                            assert_eq!(buf.access(t), oracle.access(t), "{ctx} access {i}");
+                            let probe = stream[i * 7 % len];
+                            assert_eq!(buf.contains(probe), oracle.contains(probe), "{ctx}");
+                        }
+                        assert_eq!(buf.stats(), &oracle.stats, "{ctx}");
+                        // a reset buffer replays like a fresh one
+                        buf.reset();
+                        let mut fresh = SetAssocBuffer::new(sets, ways, policy);
+                        for &t in &stream {
+                            assert_eq!(buf.access(t), fresh.access(t), "{ctx} replay");
+                        }
+                        assert_eq!(buf.stats(), fresh.stats(), "{ctx} replay");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn hits_and_misses_counted() {
@@ -278,17 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn replacement_times_track_refetches() {
-        let mut b = SetAssocBuffer::new(1, 1, Replacement::Lru);
-        b.access(1);
-        b.access(2); // evicts 1
-        b.access(1); // refetch 1
-        let rt: std::collections::HashMap<u64, u32> = b.replacement_times().into_iter().collect();
-        assert_eq!(rt[&1], 1);
-        assert_eq!(rt[&2], 0);
-    }
-
-    #[test]
     fn capacity_and_reset() {
         let mut b = SetAssocBuffer::with_capacity(64, 4, Replacement::Lru);
         assert_eq!(b.capacity(), 64);
@@ -319,44 +377,16 @@ mod tests {
     }
 
     #[test]
-    fn flush_restarts_residency_but_keeps_counts() {
-        let mut pooled = SetAssocBuffer::new(4, 2, Replacement::Lru);
-        let stream: Vec<u64> = vec![1, 2, 3, 1, 9, 2, 7, 7];
-        for &t in &stream {
-            pooled.access(t);
-        }
-        let first_counts = pooled.fetch_counts().clone();
-        pooled.flush();
-        assert_eq!(pooled.stats(), &BufferStats::default());
-        assert!(!pooled.contains(1));
-        // The flushed buffer replays the stream exactly like a fresh one…
-        let mut fresh = SetAssocBuffer::new(4, 2, Replacement::Lru);
-        for &t in &stream {
-            assert_eq!(pooled.access(t), fresh.access(t));
-        }
-        assert_eq!(pooled.stats(), fresh.stats());
-        // …while its counters kept aggregating across the flush.
-        for (tag, count) in fresh.fetch_counts() {
-            assert_eq!(
-                pooled.fetch_counts()[tag],
-                count + first_counts.get(tag).copied().unwrap_or(0)
-            );
-        }
-    }
-
-    #[test]
     fn reshape_matches_fresh_construction() {
         let mut b = SetAssocBuffer::new(2, 1, Replacement::Fifo);
         b.access(5);
         b.reshape(8, 2, Replacement::Lru);
         assert_eq!((b.sets(), b.ways(), b.policy()), (8, 2, Replacement::Lru));
         assert_eq!(b.stats(), &BufferStats::default());
-        assert!(b.fetch_counts().is_empty());
         let mut fresh = SetAssocBuffer::new(8, 2, Replacement::Lru);
         for t in [3u64, 9, 3, 11, 200, 9, 3] {
             assert_eq!(b.access(t), fresh.access(t));
         }
         assert_eq!(b.stats(), fresh.stats());
-        assert_eq!(b.fetch_counts(), fresh.fetch_counts());
     }
 }

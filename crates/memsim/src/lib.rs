@@ -5,8 +5,8 @@
 //! * [`hbm`] — transaction-level HBM/GDDR DRAM model (the Ramulator
 //!   substitute): channels, banks, open-row tracking, DDR timing and
 //!   bandwidth accounting.
-//! * [`buffer`] — set-associative on-chip buffer with per-tag replacement
-//!   counters (Fig. 2's "replacement times" statistic).
+//! * [`buffer`] — set-associative on-chip buffer (LRU/FIFO), the NA
+//!   buffer and GPU L2 model.
 //! * [`fifo`] — bounded hardware FIFOs with stall/occupancy accounting.
 //! * [`hashtable`] — the Decoupler's set-associative hash table.
 //! * [`cacti_lite`] — analytic area / power estimation at TSMC 12 nm

@@ -9,11 +9,12 @@
 //! * **one lane per job**, each owning its own [`Workspace`] — the
 //!   frontend's zero-alloc arena — plus a [`Restructurer`] and an
 //!   [`NaBufferSim`];
-//! * **replica pinning**: replica `r` always lands on lane
-//!   `r % jobs`, so shard affinity decided by the scheduler is
-//!   preserved (a lane re-serves the same datasets its replicas were
-//!   sharded to) and every replica's batches execute in exactly the
-//!   order the simulator issued them;
+//! * **replica pinning**: each replica lands on one lane, placed
+//!   largest-first on the least-loaded lane by the edges its batches
+//!   replay, so shard affinity decided by the scheduler is preserved (a
+//!   lane re-serves the same datasets its replicas were sharded to),
+//!   lanes carry near-equal work, and every replica's batches execute in
+//!   exactly the order the simulator issued them;
 //! * **per-lane atomic cursors**: each lane pulls its next assignment
 //!   index with a `fetch_add(1)` on its own [`AtomicUsize`], draining
 //!   its slice of the log in assignment order;
@@ -280,10 +281,35 @@ pub fn lane_na_sim() -> NaBufferSim {
     NaBufferSim::new(cfg.na_window_features(), cfg.na_ways)
 }
 
+/// Lane of each replica: replicas in decreasing order of the edges their
+/// batches replay (ties by replica index), each placed on the lane with
+/// the least load so far (ties by lane index). Deterministic for a given
+/// log and `jobs`.
+fn place_replicas(log: &AssignmentLog, datasets: &ReplayDatasets, jobs: usize) -> Vec<usize> {
+    let mut load = vec![0u64; log.replica_count()];
+    for a in &log.assignments {
+        let graphs = datasets.graphs(a.cell.dataset);
+        load[a.replica] += graphs.iter().map(|g| g.edge_count() as u64).sum::<u64>();
+    }
+    let mut by_load: Vec<usize> = (0..load.len()).collect();
+    by_load.sort_by_key(|&r| std::cmp::Reverse(load[r]));
+    let mut lane_load = vec![0u64; jobs];
+    let mut lane_of = vec![0; load.len()];
+    for r in by_load {
+        let lane = (0..jobs)
+            .min_by_key(|&l| lane_load[l])
+            .expect("jobs is positive");
+        lane_of[r] = lane;
+        lane_load[lane] += load[r];
+    }
+    lane_of
+}
+
 /// Replays an [`AssignmentLog`] on `jobs` real worker lanes and
 /// measures sustained wall-clock throughput.
 ///
-/// Replica → lane pinning is `replica % jobs`; each lane drains its
+/// Each replica is pinned to one lane, placed largest-first on the
+/// least-loaded lane by the edges its batches replay; each lane drains its
 /// share of the log in assignment order through a per-lane atomic
 /// cursor. Which requests complete, on which replica, in which order is
 /// identical for every `jobs` value — only the wall-clock numbers
@@ -306,9 +332,10 @@ pub fn replay(
     // Plan: per-lane assignment indices, preserving log order. Replica
     // pinning keeps every replica's batches on a single lane, so the
     // simulator's per-replica issue order survives by construction.
+    let lane_of = place_replicas(log, datasets, jobs);
     let mut plans: Vec<Vec<usize>> = vec![Vec::new(); jobs];
     for (i, a) in log.assignments.iter().enumerate() {
-        plans[a.replica % jobs].push(i);
+        plans[lane_of[a.replica]].push(i);
     }
     let cursors: Vec<AtomicUsize> = (0..jobs).map(|_| AtomicUsize::new(0)).collect();
 
@@ -388,9 +415,11 @@ pub fn replay(
 mod tests {
     use super::*;
     use crate::batcher::BatchPolicy;
+    use crate::request::Cell;
     use crate::scheduler::SchedPolicy;
     use crate::suite::{ScenarioSpec, ServeHarness};
     use crate::workload::ArrivalProcess;
+    use gdr_hgnn::model::ModelKind;
 
     fn tiny_log() -> AssignmentLog {
         let cfg = ExperimentConfig {
@@ -460,5 +489,35 @@ mod tests {
         };
         let datasets = ReplayDatasets::build(&log.config);
         assert!(replay(&log, &datasets, 0).is_err());
+    }
+
+    #[test]
+    fn replicas_are_placed_largest_first_on_the_least_loaded_lane() {
+        // replica loads 3 : 1 : 2 batches of one dataset
+        let batch = |replica| Assignment {
+            replica,
+            cell: Cell {
+                model: ModelKind::Rgcn,
+                dataset: Dataset::Acm,
+            },
+            warm: true,
+            cache_hit: false,
+            shard_miss: false,
+            request_ids: Vec::new(),
+        };
+        let log = AssignmentLog {
+            scenario: "x".into(),
+            seed: 0,
+            config: ExperimentConfig {
+                seed: 0,
+                scale: 0.02,
+            },
+            assignments: [0, 1, 0, 2, 0, 2].map(batch).to_vec(),
+        };
+        let datasets = ReplayDatasets::build(&log.config);
+        assert_eq!(place_replicas(&log, &datasets, 1), [0, 0, 0]);
+        // `replica % 2` would put five of the six batches on lane 0
+        assert_eq!(place_replicas(&log, &datasets, 2), [0, 1, 1]);
+        assert_eq!(place_replicas(&log, &datasets, 4), [0, 2, 1]);
     }
 }
