@@ -115,43 +115,31 @@ impl RequestBreakdown {
 /// are not attributed. `events` must come from the same run as
 /// `result`; requests missing from the trace (impossible for a
 /// complete trace) are skipped.
+///
+/// Costs O(events + completions) time. It relies on
+/// [`Request::id`](crate::request::Request::id) being the sequential
+/// stream index: one slot per id, up to the largest completed id,
+/// holds the index of that request's last start event (8 B of scratch
+/// per request), so a later start overwrites the slot and each
+/// completion reads its slot directly.
 pub fn request_breakdowns(result: &SimResult, events: &[TraceEvent]) -> Vec<RequestBreakdown> {
-    /// What the final start span recorded for one request.
-    struct Started {
-        arrival_ns: u64,
-        formed_ns: u64,
-        start_ns: u64,
-        bind_ns: u64,
-        service_ns: u64,
-        stall_ns: u64,
-    }
-    let mut starts: Vec<(u64, Started)> = Vec::with_capacity(result.completed.len());
-    for event in events {
-        let TraceEvent::BatchStarted {
-            time_ns,
-            formed_ns,
-            bind_ns,
-            service_ns,
-            stall_ns,
-            requests,
-            ..
-        } = event
-        else {
-            continue;
-        };
-        for &(id, arrival_ns) in requests {
-            let started = Started {
-                arrival_ns,
-                formed_ns: *formed_ns,
-                start_ns: *time_ns,
-                bind_ns: *bind_ns,
-                service_ns: *service_ns,
-                stall_ns: *stall_ns,
-            };
-            match starts.iter_mut().find(|(k, _)| *k == id) {
+    // An out-of-range event index: `events.get` turns it into a skip.
+    const NOT_STARTED: usize = usize::MAX;
+    let slots = result
+        .completed
+        .iter()
+        .map(|c| c.request.id as usize + 1)
+        .max()
+        .unwrap_or(0);
+    let mut last_start = vec![NOT_STARTED; slots];
+    for (i, event) in events.iter().enumerate() {
+        if let TraceEvent::BatchStarted { requests, .. } = event {
+            for &(id, _) in requests {
                 // A later start voids the earlier one (crash + re-issue).
-                Some((_, slot)) => *slot = started,
-                None => starts.push((id, started)),
+                // Ids past the last completion belong to dropped requests.
+                if let Some(slot) = last_start.get_mut(id as usize) {
+                    *slot = i;
+                }
             }
         }
     }
@@ -159,15 +147,26 @@ pub fn request_breakdowns(result: &SimResult, events: &[TraceEvent]) -> Vec<Requ
         .completed
         .iter()
         .filter_map(|c| {
-            let (_, s) = starts.iter().find(|(k, _)| *k == c.request.id)?;
+            let event = events.get(last_start[c.request.id as usize])?;
+            let TraceEvent::BatchStarted {
+                time_ns: start_ns,
+                formed_ns,
+                bind_ns,
+                service_ns,
+                stall_ns,
+                ..
+            } = *event
+            else {
+                unreachable!("slots hold only BatchStarted indices")
+            };
             Some(RequestBreakdown {
                 request: c.request.id,
                 latency_ns: c.latency_ns(),
-                queue_wait_ns: (s.start_ns - s.formed_ns) - s.stall_ns,
-                batch_form_ns: s.formed_ns - s.arrival_ns,
-                bind_ns: s.bind_ns,
-                service_ns: s.service_ns,
-                stall_ns: s.stall_ns,
+                queue_wait_ns: (start_ns - formed_ns) - stall_ns,
+                batch_form_ns: formed_ns - c.request.arrival_ns,
+                bind_ns,
+                service_ns,
+                stall_ns,
             })
         })
         .collect()
@@ -185,7 +184,17 @@ pub fn breakdown_record(
     result: &SimResult,
     events: &[TraceEvent],
 ) -> BreakdownRecord {
-    let per_request = request_breakdowns(result, events);
+    aggregate_breakdowns(scenario, seed, &request_breakdowns(result, events))
+}
+
+/// [`breakdown_record`] over attributions already computed by
+/// [`request_breakdowns`], so a caller that keeps them pays for the
+/// attribution once.
+pub(crate) fn aggregate_breakdowns(
+    scenario: &str,
+    seed: u64,
+    per_request: &[RequestBreakdown],
+) -> BreakdownRecord {
     let n = per_request.len();
     let stages = BREAKDOWN_STAGE_KEYS
         .iter()
@@ -717,5 +726,226 @@ mod tests {
         assert_eq!(all.metric("requeued_batches"), Some(0.0));
         // the single-platform row equals the pool-wide row on drops
         assert_eq!(rec.runs[1].metric("dropped"), Some(dropped));
+    }
+
+    /// The linear-search attribution `request_breakdowns` replaced,
+    /// kept as the exact reference: one `(id, start)` entry per request,
+    /// found by scanning on every start and every completion.
+    fn request_breakdowns_oracle(
+        result: &SimResult,
+        events: &[TraceEvent],
+    ) -> Vec<RequestBreakdown> {
+        struct Started {
+            arrival_ns: u64,
+            formed_ns: u64,
+            start_ns: u64,
+            bind_ns: u64,
+            service_ns: u64,
+            stall_ns: u64,
+        }
+        let mut starts: Vec<(u64, Started)> = Vec::new();
+        for event in events {
+            let TraceEvent::BatchStarted {
+                time_ns,
+                formed_ns,
+                bind_ns,
+                service_ns,
+                stall_ns,
+                requests,
+                ..
+            } = event
+            else {
+                continue;
+            };
+            for &(id, arrival_ns) in requests {
+                let started = Started {
+                    arrival_ns,
+                    formed_ns: *formed_ns,
+                    start_ns: *time_ns,
+                    bind_ns: *bind_ns,
+                    service_ns: *service_ns,
+                    stall_ns: *stall_ns,
+                };
+                match starts.iter_mut().find(|(k, _)| *k == id) {
+                    Some((_, slot)) => *slot = started,
+                    None => starts.push((id, started)),
+                }
+            }
+        }
+        result
+            .completed
+            .iter()
+            .filter_map(|c| {
+                let (_, s) = starts.iter().find(|(k, _)| *k == c.request.id)?;
+                Some(RequestBreakdown {
+                    request: c.request.id,
+                    latency_ns: c.latency_ns(),
+                    queue_wait_ns: (s.start_ns - s.formed_ns) - s.stall_ns,
+                    batch_form_ns: s.formed_ns - s.arrival_ns,
+                    bind_ns: s.bind_ns,
+                    service_ns: s.service_ns,
+                    stall_ns: s.stall_ns,
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn slot_attribution_matches_the_linear_search_oracle() {
+        use crate::fault::{CrashWindow, Slowdown};
+        use crate::suite::{default_specs, scaled_rate, ScenarioSpec, ServeHarness, HIGH_RATE_RPS};
+        use crate::trace::RecordingSink;
+        use gdr_system::grid::ExperimentConfig;
+
+        let cfg = ExperimentConfig::test_scale();
+        let harness = ServeHarness::new(&cfg, &["HiHGNN+GDR"]).expect("harness builds");
+        // A crash landing while replica 0 has a batch in flight, so the
+        // control plane migrates it and a later start voids the first.
+        let crash_failover = ScenarioSpec {
+            faults: FaultSpec {
+                crashes: vec![CrashWindow {
+                    replica: 0,
+                    crash_at_ns: 70_000,
+                    recover_after_ns: 200_000,
+                }],
+                slowdowns: vec![Slowdown {
+                    replica: 1,
+                    factor: 1.7,
+                }],
+                drop_prob: 0.0,
+                deadline_ns: 0,
+            },
+            control: true,
+            ..ScenarioSpec::new(
+                "oracle/crash-failover",
+                ArrivalProcess::Poisson {
+                    rate_rps: scaled_rate(&cfg, HIGH_RATE_RPS),
+                },
+                192,
+                BatchPolicy::SizeCapped { cap: 8 },
+                SchedPolicy::LeastLoaded,
+                vec!["HiHGNN+GDR".into(); 3],
+            )
+        };
+        let deadline = default_specs(&cfg)
+            .into_iter()
+            .find(|s| s.name == "poisson-hi/deadline/least-loaded")
+            .expect("suite scenario");
+        let mut restarted = 0;
+        for spec in [&crash_failover, &deadline] {
+            let replicas = vec![0; spec.pool.len()];
+            let pool = spec.pool_config();
+            for seed in 0..48 {
+                let traffic = Traffic {
+                    process: spec.process,
+                    requests: spec.requests,
+                    seed,
+                };
+                let mut sink = RecordingSink::default();
+                let result = Simulator::with_faults(
+                    harness.cost(),
+                    spec.sched,
+                    &replicas,
+                    &pool,
+                    &spec.faults,
+                    spec.control,
+                    seed,
+                )
+                .with_trace(&mut sink)
+                .run(traffic.stream(), Batcher::new(spec.batch));
+                let fast = request_breakdowns(&result, &sink.events);
+                assert!(!fast.is_empty(), "{} seed {seed}", spec.name);
+                assert_eq!(
+                    fast,
+                    request_breakdowns_oracle(&result, &sink.events),
+                    "{} seed {seed}",
+                    spec.name
+                );
+                let starts: usize = sink
+                    .events
+                    .iter()
+                    .map(|e| match e {
+                        TraceEvent::BatchStarted { requests, .. } => requests.len(),
+                        _ => 0,
+                    })
+                    .sum();
+                restarted += starts - fast.len();
+            }
+        }
+        assert!(restarted > 0, "no request was ever started twice");
+    }
+
+    #[test]
+    fn attribution_is_linear_and_keeps_the_last_start_at_a_million_requests() {
+        use crate::request::{Cell, Request};
+        use crate::scheduler::CompletedRequest;
+
+        const N: u64 = 1_000_000;
+        const CAP: u64 = 8;
+        let started =
+            |time_ns, formed_ns, bind_ns, stall_ns, first: u64| TraceEvent::BatchStarted {
+                time_ns,
+                batch: first,
+                replica: 0,
+                formed_ns,
+                size: CAP as usize,
+                warm: false,
+                cache_hit: false,
+                shard_miss: bind_ns > 0,
+                bind_ns,
+                service_ns: 1_000,
+                stall_ns,
+                requests: (first..first + CAP).map(|id| (id, id * 10)).collect(),
+            };
+        // Every batch starts, is voided by a crash, and starts again
+        // 5 µs later with a stall and a cold bind.
+        let formed = |first: u64| (first + CAP - 1) * 10 + 5;
+        let mut events: Vec<TraceEvent> = (0..N)
+            .step_by(CAP as usize)
+            .map(|first| started(formed(first) + 100, formed(first), 0, 0, first))
+            .collect();
+        events.extend(
+            (0..N)
+                .step_by(CAP as usize)
+                .map(|first| started(formed(first) + 5_100, formed(first), 7, 300, first)),
+        );
+        let completed: Vec<CompletedRequest> = (0..N)
+            .map(|id| {
+                let first = id - id % CAP;
+                CompletedRequest {
+                    request: Request {
+                        id,
+                        client: id as usize,
+                        arrival_ns: id * 10,
+                        cell: Cell::from_index(0),
+                    },
+                    completed_ns: formed(first) + 5_100 + 7 + 1_000,
+                    replica: 0,
+                    service_ns: 1_007,
+                }
+            })
+            .collect();
+        let result = SimResult {
+            completed,
+            batches: Vec::new(),
+            samples: Vec::new(),
+            makespan_ns: 0,
+            replica_platforms: vec![0],
+            initial_replicas: 1,
+            replicas_max: 1,
+            cold_starts: Vec::new(),
+            dropped: Vec::new(),
+            view_changes: 0,
+            failover_ns: 0,
+            requeued_batches: 0,
+            assignments: Vec::new(),
+        };
+        let per_request = request_breakdowns(&result, &events);
+        assert_eq!(per_request.len(), N as usize);
+        for (id, b) in (0..N).zip(&per_request) {
+            assert_eq!(b.request, id);
+            assert_eq!((b.bind_ns, b.stall_ns), (7, 300), "the last start counts");
+            assert_eq!(b.component_sum(), b.latency_ns, "request {id}");
+        }
     }
 }

@@ -53,7 +53,7 @@
 //! view change; only when the run drains with no live replica left are
 //! they counted dropped.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use gdr_hetgraph::datasets::Dataset;
 use rand::rngs::SmallRng;
@@ -548,8 +548,10 @@ pub struct Simulator<'c> {
     trace: Option<&'c mut dyn TraceSink>,
     /// Per-batch parked/orphaned bookkeeping for the trace's `stall_ns`
     /// component, keyed by batch id (first request id). Maintained only
-    /// while a sink is attached.
-    stalls: Vec<StallEntry>,
+    /// while a sink is attached; an entry lives from the batch's first
+    /// stall until the batch completes or is dropped, so the map holds
+    /// only batches still in the system.
+    stalls: BTreeMap<u64, StallEntry>,
     /// Whether `start` records each dispatch into
     /// [`SimResult::assignments`] (off by default; see
     /// [`Simulator::record_assignments`]).
@@ -558,10 +560,8 @@ pub struct Simulator<'c> {
 }
 
 /// Accumulated parked/orphaned time of one batch (tracing only).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct StallEntry {
-    /// Batch id: the id of the batch's first request.
-    key: u64,
     /// Open stall episode's start time, if the batch is parked now.
     since: Option<u64>,
     /// Closed episodes' total, ns.
@@ -699,7 +699,7 @@ impl<'c> Simulator<'c> {
             parked: VecDeque::new(),
             followups: Vec::new(),
             trace: None,
-            stalls: Vec::new(),
+            stalls: BTreeMap::new(),
             record_assignments: false,
             result: SimResult {
                 completed: Vec::new(),
@@ -770,15 +770,8 @@ impl<'c> Simulator<'c> {
         if !self.tracing() {
             return;
         }
-        let key = Self::batch_key(batch);
-        match self.stalls.iter_mut().find(|e| e.key == key) {
-            Some(entry) => entry.since = entry.since.or(Some(now)),
-            None => self.stalls.push(StallEntry {
-                key,
-                since: Some(now),
-                accum_ns: 0,
-            }),
-        }
+        let entry = self.stalls.entry(Self::batch_key(batch)).or_default();
+        entry.since = entry.since.or(Some(now));
     }
 
     /// Closes `batch`'s open stall episode at `now`, if any (tracing
@@ -787,8 +780,7 @@ impl<'c> Simulator<'c> {
         if !self.tracing() {
             return;
         }
-        let key = Self::batch_key(batch);
-        if let Some(entry) = self.stalls.iter_mut().find(|e| e.key == key) {
+        if let Some(entry) = self.stalls.get_mut(&Self::batch_key(batch)) {
             if let Some(since) = entry.since.take() {
                 entry.accum_ns += now - since;
             }
@@ -797,11 +789,15 @@ impl<'c> Simulator<'c> {
 
     /// Total closed stall time accumulated by `batch`, ns.
     fn stall_of(&self, batch: &Batch) -> u64 {
-        let key = Self::batch_key(batch);
         self.stalls
-            .iter()
-            .find(|e| e.key == key)
+            .get(&Self::batch_key(batch))
             .map_or(0, |e| e.accum_ns)
+    }
+
+    /// Forgets `batch`'s stall bookkeeping: it completed or was dropped,
+    /// so it never starts again.
+    fn stall_forget(&mut self, batch: &Batch) {
+        self.stalls.remove(&Self::batch_key(batch));
     }
 
     /// Emits the seal event for a freshly formed batch and dispatches
@@ -1021,6 +1017,7 @@ impl<'c> Simulator<'c> {
             replica: r,
             size: batch.len(),
         });
+        self.stall_forget(&batch);
         for req in &batch.requests {
             self.result.completed.push(CompletedRequest {
                 request: *req,
@@ -1147,6 +1144,7 @@ impl<'c> Simulator<'c> {
     /// re-issue just as if the response had arrived, so the request
     /// budget is conserved.
     fn drop_batch(&mut self, batch: Batch, now: u64, replica: Option<usize>) {
+        self.stall_forget(&batch);
         for req in &batch.requests {
             self.emit(TraceEvent::RequestDropped {
                 time_ns: now,

@@ -24,7 +24,7 @@ use gdr_system::trace_export::ChromeTrace;
 use crate::batcher::{BatchPolicy, Batcher};
 use crate::cost::CostModel;
 use crate::fault::{CrashWindow, FaultSpec, Slowdown};
-use crate::metrics::{breakdown_record, request_breakdowns, scenario_record, RequestBreakdown};
+use crate::metrics::{aggregate_breakdowns, request_breakdowns, scenario_record, RequestBreakdown};
 use crate::replay::AssignmentLog;
 use crate::scheduler::{AutoscaleSpec, PoolConfig, SchedPolicy, Simulator, SloSpec};
 use crate::trace::{chrome_trace, RecordingSink, TraceEvent};
@@ -313,8 +313,8 @@ impl ServeHarness {
             &result,
             self.cost.platforms(),
         );
-        let breakdown = breakdown_record(&spec.name, seed, &result, &sink.events);
         let requests = request_breakdowns(&result, &sink.events);
+        let breakdown = aggregate_breakdowns(&spec.name, seed, &requests);
         let chrome = chrome_trace(
             &spec.name,
             &sink.events,

@@ -1,8 +1,11 @@
 //! Trace-subsystem guarantees: double-run byte-identity of the
 //! exported Chrome trace, the exact component-sum invariant of the
-//! latency attribution across many seeds, and the
-//! zero-cost-when-disabled contract (tracing never perturbs the
+//! latency attribution across many seeds, each start's stall
+//! component re-derived from the trace's park/migrate/dispatch events,
+//! and the zero-cost-when-disabled contract (tracing never perturbs the
 //! simulation).
+
+use std::collections::BTreeMap;
 
 use gdr_serve::fault::{CrashWindow, FaultSpec, Slowdown};
 use gdr_serve::suite::{scaled_rate, ScenarioSpec, ServeHarness, HIGH_RATE_RPS};
@@ -137,4 +140,42 @@ fn disabled_sink_leaves_the_record_identical() {
         traced.record.to_json().to_pretty(),
         "serialized records must be byte-identical"
     );
+}
+
+#[test]
+fn start_stall_equals_the_parked_and_migrated_episodes_in_the_trace() {
+    let cfg = ExperimentConfig::test_scale();
+    let harness = harness();
+    let spec = crash_failover_spec(&cfg);
+    let mut stalled_starts = 0;
+    for seed in 0..48 {
+        let traced = harness.run_traced(&spec, seed).expect("traced run");
+        // Per batch: (open episode's start, closed episodes' total).
+        let mut episodes: BTreeMap<u64, (Option<u64>, u64)> = BTreeMap::new();
+        for event in &traced.events {
+            match *event {
+                TraceEvent::Parked { time_ns, batch, .. }
+                | TraceEvent::BatchMigrated { time_ns, batch, .. } => {
+                    let (since, _) = episodes.entry(batch).or_default();
+                    *since = since.or(Some(time_ns));
+                }
+                TraceEvent::Dispatched { time_ns, batch, .. } => {
+                    if let Some((since, total)) = episodes.get_mut(&batch) {
+                        if let Some(t) = since.take() {
+                            *total += time_ns - t;
+                        }
+                    }
+                }
+                TraceEvent::BatchStarted {
+                    batch, stall_ns, ..
+                } => {
+                    let expected = episodes.get(&batch).map_or(0, |&(_, total)| total);
+                    assert_eq!(stall_ns, expected, "seed {seed}, batch {batch}");
+                    stalled_starts += usize::from(stall_ns > 0);
+                }
+                _ => {}
+            }
+        }
+    }
+    assert!(stalled_starts > 0, "no start ever carried a stall");
 }
