@@ -54,7 +54,7 @@ use gdr_serve::sweep::SweepSpec;
 use gdr_system::grid::{
     paper_platforms, platform_names, platform_refs, select_platforms, ExperimentConfig,
 };
-use gdr_system::report::{collect_host_records_traced, compare, BenchReport, HostRecord};
+use gdr_system::report::{collect_host_records, compare, BenchReport, HostRecord};
 use gdr_system::trace_export::ChromeTrace;
 
 const USAGE: &str = "\
@@ -450,7 +450,7 @@ fn run_host(args: &Args) -> Result<i32, String> {
         args.passes, cfg.seed, cfg.scale
     );
     let mut trace = args.trace_out.as_ref().map(|_| ChromeTrace::new());
-    let mut host = collect_host_records_traced(&cfg, args.passes, trace.as_mut());
+    let mut host = collect_host_records(&cfg, args.passes, trace.as_mut());
     host.extend(sharded_replay_records(
         &cfg,
         args.jobs.unwrap_or_else(default_jobs).max(1),
@@ -900,7 +900,7 @@ fn run(argv: &[String]) -> Result<i32, String> {
         );
     }
     if !args.no_host {
-        report.host = collect_host_records_traced(&cfg, args.passes, None);
+        report.host = collect_host_records(&cfg, args.passes, None);
         eprintln!(
             "gdr-bench: host throughput done ({} records; wall clock, not gated)",
             report.host.len()

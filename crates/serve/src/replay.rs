@@ -15,9 +15,8 @@
 //!   lane re-serves the same datasets its replicas were sharded to),
 //!   lanes carry near-equal work, and every replica's batches execute in
 //!   exactly the order the simulator issued them;
-//! * **per-lane atomic cursors**: each lane pulls its next assignment
-//!   index with a `fetch_add(1)` on its own [`AtomicUsize`], draining
-//!   its slice of the log in assignment order;
+//! * **per-lane plans**: each lane iterates its own slice of assignment
+//!   indices, draining its share of the log in assignment order;
 //! * **work per batch**: for every semantic graph of the batch's
 //!   dataset, decouple → recouple → schedule
 //!   ([`Restructurer::restructure_with`](gdr_core::restructure::Restructurer::restructure_with))
@@ -34,7 +33,6 @@
 //!
 //! [`ServeHarness::run_replayable`]: crate::suite::ServeHarness::run_replayable
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use gdr_accel::hihgnn::HiHgnnConfig;
@@ -310,10 +308,9 @@ fn place_replicas(log: &AssignmentLog, datasets: &ReplayDatasets, jobs: usize) -
 ///
 /// Each replica is pinned to one lane, placed largest-first on the
 /// least-loaded lane by the edges its batches replay; each lane drains its
-/// share of the log in assignment order through a per-lane atomic
-/// cursor. Which requests complete, on which replica, in which order is
-/// identical for every `jobs` value — only the wall-clock numbers
-/// (never gated) differ between machines.
+/// share of the log in assignment order. Which requests complete, on
+/// which replica, in which order is identical for every `jobs` value —
+/// only the wall-clock numbers (never gated) differ between machines.
 ///
 /// # Errors
 ///
@@ -337,7 +334,6 @@ pub fn replay(
     for (i, a) in log.assignments.iter().enumerate() {
         plans[lane_of[a.replica]].push(i);
     }
-    let cursors: Vec<AtomicUsize> = (0..jobs).map(|_| AtomicUsize::new(0)).collect();
 
     struct LaneOutcome {
         stats: LaneStats,
@@ -349,7 +345,6 @@ pub fn replay(
         let handles: Vec<_> = (0..jobs)
             .map(|lane| {
                 let plan = &plans[lane];
-                let cursor = &cursors[lane];
                 scope.spawn(move || {
                     let mut ws = Workspace::new();
                     let restructurer = Restructurer::new();
@@ -363,9 +358,7 @@ pub fn replay(
                     };
                     let mut executed = Vec::with_capacity(plan.len());
                     let t0 = Instant::now();
-                    loop {
-                        let next = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&idx) = plan.get(next) else { break };
+                    for &idx in plan {
                         let a = &log.assignments[idx];
                         stats.graphs +=
                             replay_batch(&mut ws, &restructurer, &na_sim, datasets, a) as u64;

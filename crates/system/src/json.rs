@@ -183,11 +183,13 @@ impl Json {
     /// # Errors
     ///
     /// Returns a human-readable message naming the byte offset of the
-    /// first syntax error.
+    /// first syntax error, or of the first array or object nested more
+    /// than 128 levels deep.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -262,9 +264,15 @@ fn write_seq(
     out.push(close);
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The bench
+/// schema nests about five levels; the bound keeps the recursive parser
+/// from overflowing its stack on hostile input.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -306,11 +314,24 @@ impl Parser<'_> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -485,6 +506,20 @@ mod tests {
     fn rejects_malformed_input() {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"unterminated"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn bounds_nesting_depth() {
+        let nest = |open: &str, close: &str, depth: usize| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            assert!(Json::parse(&nest(open, close, 100)).is_ok());
+            assert!(Json::parse(&nest(open, close, MAX_DEPTH)).is_ok());
+            let err = Json::parse(&nest(open, close, MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.contains(&format!("at byte {}", MAX_DEPTH * open.len())));
+            assert!(Json::parse(&nest(open, close, 1_000_000)).is_err());
         }
     }
 

@@ -146,18 +146,12 @@ pub struct HostRecord {
 impl HostRecord {
     /// Looks up a metric by key (`"graphs_per_sec"`, `"ns_per_graph"`, …).
     pub fn metric(&self, key: &str) -> Option<f64> {
-        self.metrics.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
+        lookup(&self.metrics, key)
     }
 
     /// The host object of the `host` array in `gdr-bench/v1`.
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![("name".to_string(), Json::from(self.name.as_str()))];
-        fields.extend(
-            self.metrics
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::from(*v))),
-        );
-        Json::Obj(fields)
+        labelled_json("name", &self.name, &self.metrics)
     }
 
     /// Parses one object of the `host` array.
@@ -166,19 +160,8 @@ impl HostRecord {
     ///
     /// Returns a message naming the first malformed or missing field.
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let mut name = None;
-        let mut metrics = Vec::new();
-        for (k, field) in v.as_obj().ok_or("host record is not an object")? {
-            match (k.as_str(), field) {
-                ("name", Json::Str(n)) => name = Some(n.clone()),
-                (_, Json::Num(x)) => metrics.push((k.clone(), *x)),
-                _ => return Err(format!("unexpected host record field {k:?}")),
-            }
-        }
-        Ok(HostRecord {
-            name: name.ok_or("host record: missing name")?,
-            metrics,
-        })
+        let (name, metrics) = parse_labelled(v, "name", "host record")?;
+        Ok(HostRecord { name, metrics })
     }
 }
 
@@ -197,7 +180,7 @@ pub struct ServeRunRecord {
 impl ServeRunRecord {
     /// Looks up a metric by key (`"p99_ns"`, `"throughput_rps"`, …).
     pub fn metric(&self, key: &str) -> Option<f64> {
-        self.metrics.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
+        lookup(&self.metrics, key)
     }
 }
 
@@ -264,12 +247,11 @@ impl ServeScenarioRecord {
             ("requests", Json::from(self.requests)),
             (
                 "runs",
-                Json::arr(self.runs.iter().map(|r| {
-                    let mut fields =
-                        vec![("platform".to_string(), Json::from(r.platform.as_str()))];
-                    fields.extend(r.metrics.iter().map(|(k, v)| (k.clone(), Json::from(*v))));
-                    Json::Obj(fields)
-                })),
+                Json::arr(
+                    self.runs
+                        .iter()
+                        .map(|r| labelled_json("platform", &r.platform, &r.metrics)),
+                ),
             ),
         ])
     }
@@ -280,44 +262,21 @@ impl ServeScenarioRecord {
     ///
     /// Returns a message naming the first malformed or missing field.
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let string = |key: &str| -> Result<String, String> {
-            v.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("serve scenario: missing string field {key:?}"))
-        };
-        let num = |key: &str| -> Result<f64, String> {
-            v.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("serve scenario: missing numeric field {key:?}"))
-        };
-        let mut runs = Vec::new();
-        for r in v
-            .get("runs")
-            .and_then(Json::as_arr)
-            .ok_or("serve scenario: missing runs")?
-        {
-            let mut platform = None;
-            let mut metrics = Vec::new();
-            for (k, field) in r.as_obj().ok_or("serve run is not an object")? {
-                match (k.as_str(), field) {
-                    ("platform", Json::Str(p)) => platform = Some(p.clone()),
-                    (_, Json::Num(x)) => metrics.push((k.clone(), *x)),
-                    _ => return Err(format!("unexpected serve run field {k:?}")),
-                }
-            }
-            runs.push(ServeRunRecord {
-                platform: platform.ok_or("serve run: missing platform")?,
-                metrics,
-            });
-        }
+        const WHAT: &str = "serve scenario";
+        let runs = req_arr(v, "runs", WHAT)?
+            .iter()
+            .map(|r| {
+                let (platform, metrics) = parse_labelled(r, "platform", "serve run")?;
+                Ok(ServeRunRecord { platform, metrics })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
         Ok(ServeScenarioRecord {
-            scenario: string("scenario")?,
-            arrival: string("arrival")?,
-            rate_rps: num("rate_rps")?,
-            batch: string("batch")?,
-            scheduler: string("scheduler")?,
-            replicas: num("replicas")? as u64,
+            scenario: req_str(v, "scenario", WHAT)?,
+            arrival: req_str(v, "arrival", WHAT)?,
+            rate_rps: req_num(v, "rate_rps", WHAT)?,
+            batch: req_str(v, "batch", WHAT)?,
+            scheduler: req_str(v, "scheduler", WHAT)?,
+            replicas: req_num(v, "replicas", WHAT)? as u64,
             // The scale-out fields were added within the same schema id:
             // records written before them parse as an unsharded,
             // uncached, fixed pool.
@@ -334,8 +293,8 @@ impl ServeScenarioRecord {
                 .and_then(Json::as_str)
                 .unwrap_or("none")
                 .to_string(),
-            seed: num("seed")? as u64,
-            requests: num("requests")? as u64,
+            seed: req_num(v, "seed", WHAT)? as u64,
+            requests: req_num(v, "requests", WHAT)? as u64,
             runs,
         })
     }
@@ -367,18 +326,12 @@ pub struct SweepRowRecord {
 impl SweepRowRecord {
     /// Looks up a metric by key (`"p99_ns"`, `"replica_seconds"`, …).
     pub fn metric(&self, key: &str) -> Option<f64> {
-        self.metrics.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
+        lookup(&self.metrics, key)
     }
 
     /// The row object of a sweep's `table` array.
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![("scenario".to_string(), Json::from(self.scenario.as_str()))];
-        fields.extend(
-            self.metrics
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::from(*v))),
-        );
-        Json::Obj(fields)
+        labelled_json("scenario", &self.scenario, &self.metrics)
     }
 
     /// Parses one row object of a sweep's `table` array.
@@ -387,19 +340,8 @@ impl SweepRowRecord {
     ///
     /// Returns a message naming the first malformed or missing field.
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let mut scenario = None;
-        let mut metrics = Vec::new();
-        for (k, field) in v.as_obj().ok_or("sweep row is not an object")? {
-            match (k.as_str(), field) {
-                ("scenario", Json::Str(s)) => scenario = Some(s.clone()),
-                (_, Json::Num(x)) => metrics.push((k.clone(), *x)),
-                _ => return Err(format!("unexpected sweep row field {k:?}")),
-            }
-        }
-        Ok(SweepRowRecord {
-            scenario: scenario.ok_or("sweep row: missing scenario")?,
-            metrics,
-        })
+        let (scenario, metrics) = parse_labelled(v, "scenario", "sweep row")?;
+        Ok(SweepRowRecord { scenario, metrics })
     }
 }
 
@@ -459,7 +401,7 @@ pub struct SweepRecommendation {
 impl SweepRecommendation {
     /// Looks up a chosen-row objective by key (`"p99_ns"`, …).
     pub fn metric(&self, key: &str) -> Option<f64> {
-        self.metrics.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
+        lookup(&self.metrics, key)
     }
 
     /// The `recommend` object of a sweep record.
@@ -487,27 +429,18 @@ impl SweepRecommendation {
     ///
     /// Returns a message naming the first malformed or missing field.
     pub fn from_json(v: &Json) -> Result<Self, String> {
+        const WHAT: &str = "sweep recommend";
         let mut out = SweepRecommendation {
-            slo_p99_ns: v
-                .get("slo_p99_ns")
-                .and_then(Json::as_f64)
-                .ok_or("sweep recommend: missing slo_p99_ns")?,
-            budget_replica_seconds: v
-                .get("budget_replica_seconds")
-                .and_then(Json::as_f64)
-                .ok_or("sweep recommend: missing budget_replica_seconds")?,
+            slo_p99_ns: req_num(v, "slo_p99_ns", WHAT)?,
+            budget_replica_seconds: req_num(v, "budget_replica_seconds", WHAT)?,
             feasible: v
                 .get("feasible")
                 .and_then(Json::as_bool)
-                .ok_or("sweep recommend: missing feasible")?,
-            scenario: v
-                .get("scenario")
-                .and_then(Json::as_str)
-                .ok_or("sweep recommend: missing scenario")?
-                .to_string(),
+                .ok_or_else(|| format!("{WHAT}: missing boolean field \"feasible\""))?,
+            scenario: req_str(v, "scenario", WHAT)?,
             metrics: Vec::new(),
         };
-        for (k, field) in v.as_obj().ok_or("sweep recommend is not an object")? {
+        for (k, field) in v.as_obj().unwrap_or_default() {
             if let (false, Json::Num(x)) = (
                 matches!(k.as_str(), "slo_p99_ns" | "budget_replica_seconds"),
                 field,
@@ -620,37 +553,21 @@ impl SweepRecord {
     ///
     /// Returns a message naming the first malformed or missing field.
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let string = |key: &str| -> Result<String, String> {
-            v.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("sweep record: missing string field {key:?}"))
-        };
-        let mut axes = Vec::new();
-        for a in v
-            .get("axes")
-            .and_then(Json::as_arr)
-            .ok_or("sweep record: missing axes")?
-        {
-            let field = |key: &str| -> Result<String, String> {
-                a.get(key)
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("sweep axis: missing {key:?}"))
-            };
-            axes.push((field("axis")?, field("values")?));
-        }
-        let table = v
-            .get("table")
-            .and_then(Json::as_arr)
-            .ok_or("sweep record: missing table")?
+        const WHAT: &str = "sweep record";
+        let axes = req_arr(v, "axes", WHAT)?
+            .iter()
+            .map(|a| {
+                Ok((
+                    req_str(a, "axis", "sweep axis")?,
+                    req_str(a, "values", "sweep axis")?,
+                ))
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        let table = req_arr(v, "table", WHAT)?
             .iter()
             .map(SweepRowRecord::from_json)
             .collect::<Result<Vec<_>, _>>()?;
-        let frontier = v
-            .get("frontier")
-            .and_then(Json::as_arr)
-            .ok_or("sweep record: missing frontier")?
+        let frontier = req_arr(v, "frontier", WHAT)?
             .iter()
             .map(|s| {
                 s.as_str()
@@ -659,13 +576,10 @@ impl SweepRecord {
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(SweepRecord {
-            name: string("name")?,
+            name: req_str(v, "name", WHAT)?,
             axes,
-            requests: v
-                .get("requests")
-                .and_then(Json::as_f64)
-                .ok_or("sweep record: missing requests")? as u64,
-            platform: string("platform")?,
+            requests: req_num(v, "requests", WHAT)? as u64,
+            platform: req_str(v, "platform", WHAT)?,
             table,
             frontier,
             // `recommend` is present only when an SLO was requested.
@@ -728,20 +642,12 @@ impl BreakdownStage {
     ///
     /// Returns a message naming the first malformed or missing field.
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let num = |key: &str| -> Result<f64, String> {
-            v.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("breakdown stage: missing numeric field {key:?}"))
-        };
+        const WHAT: &str = "breakdown stage";
         Ok(BreakdownStage {
-            stage: v
-                .get("stage")
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or("breakdown stage: missing stage")?,
-            mean_ns: num("mean_ns")?,
-            p50_ns: num("p50_ns")?,
-            p99_ns: num("p99_ns")?,
+            stage: req_str(v, "stage", WHAT)?,
+            mean_ns: req_num(v, "mean_ns", WHAT)?,
+            p50_ns: req_num(v, "p50_ns", WHAT)?,
+            p99_ns: req_num(v, "p99_ns", WHAT)?,
         })
     }
 }
@@ -794,24 +700,13 @@ impl BreakdownRecord {
     ///
     /// Returns a message naming the first malformed or missing field.
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let num = |key: &str| -> Result<f64, String> {
-            v.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("breakdown record: missing numeric field {key:?}"))
-        };
+        const WHAT: &str = "breakdown record";
         Ok(BreakdownRecord {
-            scenario: v
-                .get("scenario")
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or("breakdown record: missing scenario")?,
-            seed: num("seed")? as u64,
-            requests: num("requests")? as u64,
-            mean_latency_ns: num("mean_latency_ns")?,
-            stages: v
-                .get("stages")
-                .and_then(Json::as_arr)
-                .ok_or("breakdown record: missing stages")?
+            scenario: req_str(v, "scenario", WHAT)?,
+            seed: req_num(v, "seed", WHAT)? as u64,
+            requests: req_num(v, "requests", WHAT)? as u64,
+            mean_latency_ns: req_num(v, "mean_latency_ns", WHAT)?,
+            stages: req_arr(v, "stages", WHAT)?
                 .iter()
                 .map(BreakdownStage::from_json)
                 .collect::<Result<Vec<_>, _>>()?,
@@ -837,7 +732,7 @@ pub struct RunRecord {
 impl RunRecord {
     /// Looks up a metric by key (`"time_ns"`, `"extra.cycles"`, …).
     pub fn metric(&self, key: &str) -> Option<f64> {
-        self.metrics.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
+        lookup(&self.metrics, key)
     }
 }
 
@@ -1057,122 +952,62 @@ impl BenchReport {
     ///
     /// See [`BenchReport::parse`].
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let schema = v
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("missing schema")?;
+        let schema = req_str(v, "schema", "report")?;
         if schema != SCHEMA {
             return Err(format!("unsupported schema {schema:?} (want {SCHEMA:?})"));
         }
-        let config = v.get("config").ok_or("missing config")?;
-        let num = |obj: &Json, key: &str| -> Result<f64, String> {
-            obj.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("missing numeric field {key:?}"))
-        };
-        let string = |obj: &Json, key: &str| -> Result<String, String> {
-            obj.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field {key:?}"))
-        };
-        let platforms = v
-            .get("platforms")
-            .and_then(Json::as_arr)
-            .ok_or("missing platforms")?
+        let config = v.get("config").ok_or("report: missing field \"config\"")?;
+        let platforms = req_arr(v, "platforms", "report")?
             .iter()
             .map(|p| p.as_str().map(str::to_string).ok_or("non-string platform"))
             .collect::<Result<Vec<_>, _>>()?;
         let mut points = Vec::new();
-        for p in v
-            .get("points")
-            .and_then(Json::as_arr)
-            .ok_or("missing points")?
-        {
+        for p in req_arr(v, "points", "report")? {
             let mut runs = Vec::new();
-            for r in p.get("runs").and_then(Json::as_arr).ok_or("missing runs")? {
+            for r in req_arr(p, "runs", "point")? {
                 let mut metrics = Vec::new();
                 for (k, field) in r.as_obj().ok_or("run is not an object")? {
                     match (k.as_str(), field) {
                         ("platform" | "na_hit_rate" | "speedup_vs_baseline", _) => {}
                         ("extra", Json::Obj(pairs)) => {
                             for (ek, ev) in pairs {
-                                let x = ev.as_f64().ok_or("non-numeric extra metric")?;
+                                let x = ev.as_f64().ok_or_else(|| {
+                                    format!("run: non-numeric extra metric {ek:?}")
+                                })?;
                                 metrics.push((format!("extra.{ek}"), x));
                             }
                         }
                         (_, Json::Num(x)) => metrics.push((k.clone(), *x)),
-                        _ => return Err(format!("unexpected run field {k:?}")),
+                        _ => return Err(format!("run: unexpected field {k:?}")),
                     }
                 }
                 runs.push(RunRecord {
-                    platform: string(r, "platform")?,
+                    platform: req_str(r, "platform", "run")?,
                     metrics,
                     na_hit_rate: r.get("na_hit_rate").and_then(Json::as_f64),
-                    speedup_vs_baseline: num(r, "speedup_vs_baseline")?,
+                    speedup_vs_baseline: req_num(r, "speedup_vs_baseline", "run")?,
                 });
             }
             points.push(PointRecord {
-                model: string(p, "model")?,
-                dataset: string(p, "dataset")?,
-                wall_clock_s: num(p, "wall_clock_s")?,
+                model: req_str(p, "model", "point")?,
+                dataset: req_str(p, "dataset", "point")?,
+                wall_clock_s: req_num(p, "wall_clock_s", "point")?,
                 runs,
             });
         }
-        // `serve` was added within the same schema id: reports written
-        // before it exists parse with an empty record family.
-        let serve = match v.get("serve") {
-            None => Vec::new(),
-            Some(s) => s
-                .as_arr()
-                .ok_or("serve is not an array")?
-                .iter()
-                .map(ServeScenarioRecord::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        // `host` likewise: reports written before the host family exist
-        // parse with no host records.
-        let host = match v.get("host") {
-            None => Vec::new(),
-            Some(h) => h
-                .as_arr()
-                .ok_or("host is not an array")?
-                .iter()
-                .map(HostRecord::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        // `sweep` likewise: reports written before the sweep family
-        // exist parse with no sweep records.
-        let sweep = match v.get("sweep") {
-            None => Vec::new(),
-            Some(s) => s
-                .as_arr()
-                .ok_or("sweep is not an array")?
-                .iter()
-                .map(SweepRecord::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        // `breakdown` likewise: reports written before the breakdown
-        // family exist parse with no breakdown records.
-        let breakdown = match v.get("breakdown") {
-            None => Vec::new(),
-            Some(b) => b
-                .as_arr()
-                .ok_or("breakdown is not an array")?
-                .iter()
-                .map(BreakdownRecord::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        };
         Ok(BenchReport {
-            seed: num(config, "seed")? as u64,
-            scale: num(config, "scale")?,
+            seed: req_num(config, "seed", "config")? as u64,
+            scale: req_num(config, "scale", "config")?,
             platforms,
             points,
-            wall_clock_s: num(v, "wall_clock_s")?,
-            serve,
-            host,
-            sweep,
-            breakdown,
+            wall_clock_s: req_num(v, "wall_clock_s", "report")?,
+            // The record families after `points` were added within the
+            // same schema id: reports written before one existed parse
+            // with that family empty.
+            serve: family(v, "serve", ServeScenarioRecord::from_json)?,
+            host: family(v, "host", HostRecord::from_json)?,
+            sweep: family(v, "sweep", SweepRecord::from_json)?,
+            breakdown: family(v, "breakdown", BreakdownRecord::from_json)?,
         })
     }
 
@@ -1181,35 +1016,17 @@ impl BenchReport {
     /// serving table (when serve scenarios ran), and a host throughput
     /// table (when host records were collected).
     pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        if !self.points.is_empty() {
-            out.push_str(&self.grid_markdown());
-        }
-        if !self.serve.is_empty() {
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            out.push_str(&self.serve_markdown());
-        }
-        if !self.breakdown.is_empty() {
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            out.push_str(&self.breakdown_markdown());
-        }
-        if !self.host.is_empty() {
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            out.push_str(&self.host_markdown());
-        }
-        if !self.sweep.is_empty() {
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            out.push_str(&self.sweep_markdown());
-        }
-        out
+        [
+            (!self.points.is_empty()).then(|| self.grid_markdown()),
+            (!self.serve.is_empty()).then(|| self.serve_markdown()),
+            (!self.breakdown.is_empty()).then(|| self.breakdown_markdown()),
+            (!self.host.is_empty()).then(|| self.host_markdown()),
+            (!self.sweep.is_empty()).then(|| self.sweep_markdown()),
+        ]
+        .into_iter()
+        .flatten()
+        .collect::<Vec<_>>()
+        .join("\n")
     }
 
     fn grid_markdown(&self) -> String {
@@ -1422,6 +1239,11 @@ impl BenchReport {
     }
 }
 
+/// Trace track (`pid`) carrying host-side wall-clock sections —
+/// distinct from the serving trace's virtual-time process so the two
+/// clock domains never share a lane.
+pub const HOST_TRACE_PID: u64 = 2;
+
 /// Measures host-side restructuring throughput: for every Table 2
 /// dataset, times `passes` full frontend passes over its semantic
 /// graphs under three execution strategies —
@@ -1439,23 +1261,14 @@ impl BenchReport {
 /// differ across machines and runs, which is exactly why the records
 /// are reported but never gated ([`compare`] ignores the `host`
 /// family). `passes` is clamped to at least 1.
-pub fn collect_host_records(cfg: &ExperimentConfig, passes: usize) -> Vec<HostRecord> {
-    collect_host_records_traced(cfg, passes, None)
-}
-
-/// Trace track (`pid`) carrying host-side wall-clock sections —
-/// distinct from the serving trace's virtual-time process so the two
-/// clock domains never share a lane.
-pub const HOST_TRACE_PID: u64 = 2;
-
-/// [`collect_host_records`] plus an optional [`ChromeTrace`] hook:
-/// when a trace is given, every timed section lands on it as a
-/// duration event — one thread track per strategy (`fresh`/`reused`/
+///
+/// When a [`ChromeTrace`] is given, every timed section lands on it as
+/// a duration event — one thread track per strategy (`fresh`/`reused`/
 /// `parallel`), one span per dataset, timestamped as wall-clock
 /// offsets from the collection's start. Unlike serving traces these
 /// spans are **not** byte-reproducible (they measure the host), which
 /// is why they live on their own [`HOST_TRACE_PID`] process track.
-pub fn collect_host_records_traced(
+pub fn collect_host_records(
     cfg: &ExperimentConfig,
     passes: usize,
     mut trace: Option<&mut ChromeTrace>,
@@ -1829,130 +1642,165 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport, threshold_pct: f64
         return cmp;
     }
     for b_point in &baseline.points {
+        let point = b_point.label();
         let c_point = current
             .points
             .iter()
             .find(|p| p.model == b_point.model && p.dataset == b_point.dataset);
         for b_run in &b_point.runs {
             let c_run = c_point.and_then(|p| p.runs.iter().find(|r| r.platform == b_run.platform));
-            let Some(c_run) = c_run else {
-                cmp.missing
-                    .push(format!("{} on {}", b_point.label(), b_run.platform));
-                continue;
-            };
-            for &metric in GATED_METRICS {
-                let (Some(b), Some(c)) = (b_run.metric(metric), c_run.metric(metric)) else {
-                    // A gated metric absent on either side must not pass
-                    // silently — a vacuous comparison is a broken gate.
-                    cmp.missing.push(format!(
-                        "{} for {} on {}",
-                        metric,
-                        b_point.label(),
-                        b_run.platform
-                    ));
-                    continue;
-                };
-                let delta = Delta {
-                    point: b_point.label(),
-                    platform: b_run.platform.clone(),
-                    metric: metric.to_string(),
-                    baseline: b,
-                    current: c,
-                };
-                if c > b * (1.0 + threshold_pct / 100.0) {
-                    cmp.regressions.push(delta);
-                } else if c < b * (1.0 - threshold_pct / 100.0) {
-                    cmp.improvements.push(delta);
-                }
-            }
+            let gated = GATED_METRICS.iter().map(|&key| (key, false, true));
+            let c_metrics = c_run.map(|r| r.metrics.as_slice());
+            cmp.gate(&point, &b_run.platform, &b_run.metrics, c_metrics, gated);
         }
     }
     for b_scn in &baseline.serve {
+        let point = format!("serve {}", b_scn.scenario);
         let c_scn = current.serve.iter().find(|s| s.scenario == b_scn.scenario);
         for b_run in &b_scn.runs {
             let c_run = c_scn.and_then(|s| s.runs.iter().find(|r| r.platform == b_run.platform));
-            let Some(c_run) = c_run else {
-                cmp.missing
-                    .push(format!("serve {} on {}", b_scn.scenario, b_run.platform));
-                continue;
-            };
-            for &(metric, higher_is_better) in SERVE_GATED_METRICS {
-                let (Some(b), Some(c)) = (b_run.metric(metric), c_run.metric(metric)) else {
-                    cmp.missing.push(format!(
-                        "{} for serve {} on {}",
-                        metric, b_scn.scenario, b_run.platform
-                    ));
-                    continue;
-                };
-                let delta = Delta {
-                    point: format!("serve {}", b_scn.scenario),
-                    platform: b_run.platform.clone(),
-                    metric: metric.to_string(),
-                    baseline: b,
-                    current: c,
-                };
-                let (worse, better) = if higher_is_better {
-                    (
-                        c < b * (1.0 - threshold_pct / 100.0),
-                        c > b * (1.0 + threshold_pct / 100.0),
-                    )
-                } else {
-                    (
-                        c > b * (1.0 + threshold_pct / 100.0),
-                        c < b * (1.0 - threshold_pct / 100.0),
-                    )
-                };
-                if worse {
-                    cmp.regressions.push(delta);
-                } else if better {
-                    cmp.improvements.push(delta);
-                }
-            }
+            // Fault and cost metrics gate only once the baseline pins
+            // them: older baselines lack the keys entirely, and treating
+            // absence as zero would invent regressions.
             let conditional = SERVE_FAULT_GATED_METRICS
                 .iter()
-                .chain(SERVE_COST_GATED_METRICS);
-            for &(metric, higher_is_better) in conditional {
-                // Fault and cost metrics gate only once the baseline
-                // pins them: older baselines lack the keys entirely,
-                // and treating absence as zero would invent
-                // regressions.
-                let Some(b) = b_run.metric(metric) else {
-                    continue;
-                };
-                let Some(c) = c_run.metric(metric) else {
-                    cmp.missing.push(format!(
-                        "{} for serve {} on {}",
-                        metric, b_scn.scenario, b_run.platform
-                    ));
-                    continue;
-                };
-                let delta = Delta {
-                    point: format!("serve {}", b_scn.scenario),
-                    platform: b_run.platform.clone(),
-                    metric: metric.to_string(),
-                    baseline: b,
-                    current: c,
-                };
-                let (worse, better) = if higher_is_better {
-                    (
-                        c < b * (1.0 - threshold_pct / 100.0),
-                        c > b * (1.0 + threshold_pct / 100.0),
-                    )
-                } else {
-                    (
-                        c > b * (1.0 + threshold_pct / 100.0),
-                        c < b * (1.0 - threshold_pct / 100.0),
-                    )
-                };
-                if worse {
-                    cmp.regressions.push(delta);
-                } else if better {
-                    cmp.improvements.push(delta);
-                }
-            }
+                .chain(SERVE_COST_GATED_METRICS)
+                .map(|&(key, higher)| (key, higher, false));
+            let gated = SERVE_GATED_METRICS
+                .iter()
+                .map(|&(key, higher)| (key, higher, true))
+                .chain(conditional);
+            let c_metrics = c_run.map(|r| r.metrics.as_slice());
+            cmp.gate(&point, &b_run.platform, &b_run.metrics, c_metrics, gated);
         }
     }
     cmp
+}
+
+impl Comparison {
+    /// Gates one baseline record against its counterpart in the current
+    /// report (`None` when the current report lacks it, which fails the
+    /// gate as missing) over `(key, higher_is_better, required)`
+    /// triples. A required metric absent on either side is missing too —
+    /// a vacuous comparison is a broken gate; an optional one is skipped
+    /// when the baseline lacks it and missing when only the current
+    /// record does.
+    fn gate(
+        &mut self,
+        point: &str,
+        platform: &str,
+        baseline: &[(String, f64)],
+        current: Option<&[(String, f64)]>,
+        gated: impl IntoIterator<Item = (&'static str, bool, bool)>,
+    ) {
+        let Some(current) = current else {
+            self.missing.push(format!("{point} on {platform}"));
+            return;
+        };
+        let threshold = self.threshold_pct / 100.0;
+        for (metric, higher_is_better, required) in gated {
+            let (b, c) = (lookup(baseline, metric), lookup(current, metric));
+            let (Some(b), Some(c)) = (b, c) else {
+                if required || b.is_some() {
+                    self.missing
+                        .push(format!("{metric} for {point} on {platform}"));
+                }
+                continue;
+            };
+            let grew = c > b * (1.0 + threshold);
+            let shrank = c < b * (1.0 - threshold);
+            let (worse, better) = if higher_is_better {
+                (shrank, grew)
+            } else {
+                (grew, shrank)
+            };
+            let delta = || Delta {
+                point: point.to_string(),
+                platform: platform.to_string(),
+                metric: metric.to_string(),
+                baseline: b,
+                current: c,
+            };
+            if worse {
+                self.regressions.push(delta());
+            } else if better {
+                self.improvements.push(delta());
+            }
+        }
+    }
+}
+
+/// Looks up `key` in a stable-ordered metric list.
+fn lookup(metrics: &[(String, f64)], key: &str) -> Option<f64> {
+    metrics.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
+}
+
+/// A labelled metric object, `{label_key: label, metric: num, …}` —
+/// the shape of host records, serve runs and sweep rows.
+fn labelled_json(label_key: &str, label: &str, metrics: &[(String, f64)]) -> Json {
+    let mut fields = vec![(label_key.to_string(), Json::from(label))];
+    fields.extend(metrics.iter().map(|(k, v)| (k.clone(), Json::from(*v))));
+    Json::Obj(fields)
+}
+
+/// Parses what [`labelled_json`] writes: the string under `label_key`
+/// and every other field as a numeric metric, in document order. `what`
+/// names the record in error messages.
+fn parse_labelled(
+    v: &Json,
+    label_key: &str,
+    what: &str,
+) -> Result<(String, Vec<(String, f64)>), String> {
+    let mut label = None;
+    let mut metrics = Vec::new();
+    for (k, field) in v
+        .as_obj()
+        .ok_or_else(|| format!("{what} is not an object"))?
+    {
+        match (k == label_key, field) {
+            (true, Json::Str(s)) => label = Some(s.clone()),
+            (false, Json::Num(x)) => metrics.push((k.clone(), *x)),
+            _ => return Err(format!("{what}: unexpected field {k:?}")),
+        }
+    }
+    let label = label.ok_or_else(|| format!("{what}: missing string field {label_key:?}"))?;
+    Ok((label, metrics))
+}
+
+/// The required string field `key` of record `what`.
+fn req_str(v: &Json, key: &str, what: &str) -> Result<String, String> {
+    v.get(key)
+        .and_then(Json::as_str)
+        .map(str::to_string)
+        .ok_or_else(|| format!("{what}: missing string field {key:?}"))
+}
+
+/// The required numeric field `key` of record `what`.
+fn req_num(v: &Json, key: &str, what: &str) -> Result<f64, String> {
+    v.get(key)
+        .and_then(Json::as_f64)
+        .ok_or_else(|| format!("{what}: missing numeric field {key:?}"))
+}
+
+/// The required array field `key` of record `what`.
+fn req_arr<'a>(v: &'a Json, key: &str, what: &str) -> Result<&'a [Json], String> {
+    v.get(key)
+        .and_then(Json::as_arr)
+        .ok_or_else(|| format!("{what}: missing array field {key:?}"))
+}
+
+/// An optional record family of the report: absent parses as empty,
+/// present must be an array of records `parse` accepts.
+fn family<T>(v: &Json, key: &str, parse: fn(&Json) -> Result<T, String>) -> Result<Vec<T>, String> {
+    match v.get(key) {
+        None => Ok(Vec::new()),
+        Some(records) => records
+            .as_arr()
+            .ok_or_else(|| format!("{key} is not an array"))?
+            .iter()
+            .map(parse)
+            .collect(),
+    }
 }
 
 #[cfg(test)]

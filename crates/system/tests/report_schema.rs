@@ -405,6 +405,149 @@ fn breakdown_records_round_trip_render_and_never_gate() {
     assert!(compare(&slow, &current, 0.0).passed());
 }
 
+/// One defect applied to a serialized report: `Set` replaces the value
+/// at a dotted path (numeric segments index arrays), `Drop` removes the
+/// object entry the path names.
+enum Defect {
+    Set(Json),
+    Drop,
+}
+
+#[test]
+fn malformed_records_are_rejected_naming_the_bad_key() {
+    use Defect::{Drop, Set};
+    let not_obj = || Set(Json::from(7u64));
+    let not_str = || Set(Json::from(7u64));
+    let not_num = || Set(Json::from("x"));
+    let not_arr = || Set(Json::obj([("x", Json::from(1u64))]));
+    // (path, defect, substring the error must contain): one record that
+    // is not an object, one mistyped label, one non-numeric metric, one
+    // missing required field and one non-array family per record shape.
+    let cases: Vec<(&str, Defect, &str)> = vec![
+        ("config", Drop, "config"),
+        ("config.seed", not_num(), "seed"),
+        ("wall_clock_s", Drop, "wall_clock_s"),
+        ("platforms", not_arr(), "platforms"),
+        ("platforms.0", not_str(), "platform"),
+        // points[] and points[].runs[]
+        ("points", not_arr(), "points"),
+        ("points.0", not_obj(), "runs"),
+        ("points.0.model", not_str(), "model"),
+        ("points.0.dataset", Drop, "dataset"),
+        ("points.0.wall_clock_s", not_num(), "wall_clock_s"),
+        ("points.0.runs", not_arr(), "runs"),
+        ("points.0.runs.0", not_obj(), "run"),
+        ("points.0.runs.0.platform", not_str(), "platform"),
+        ("points.0.runs.0.platform", Drop, "platform"),
+        ("points.0.runs.0.time_ns", not_num(), "time_ns"),
+        (
+            "points.0.runs.0.speedup_vs_baseline",
+            not_num(),
+            "speedup_vs_baseline",
+        ),
+        ("points.0.runs.0.extra", not_num(), "extra"),
+        (
+            "points.0.runs.0.extra",
+            Set(Json::obj([("cycles", Json::from("x"))])),
+            "extra",
+        ),
+        // serve[] and serve[].runs[]
+        ("serve", not_arr(), "serve"),
+        ("serve.0", not_obj(), "serve"),
+        ("serve.0.scenario", not_str(), "scenario"),
+        ("serve.0.arrival", Drop, "arrival"),
+        ("serve.0.rate_rps", not_num(), "rate_rps"),
+        ("serve.0.requests", Drop, "requests"),
+        ("serve.0.runs", not_arr(), "runs"),
+        ("serve.0.runs", Drop, "runs"),
+        ("serve.0.runs.0", not_obj(), "serve run"),
+        ("serve.0.runs.0.platform", not_str(), "platform"),
+        ("serve.0.runs.0.platform", Drop, "platform"),
+        ("serve.0.runs.0.p99_ns", not_num(), "p99_ns"),
+        // host[]
+        ("host", not_arr(), "host"),
+        ("host.0", not_obj(), "host"),
+        ("host.0.name", not_str(), "name"),
+        ("host.0.name", Drop, "name"),
+        ("host.0.graphs_per_sec", not_num(), "graphs_per_sec"),
+        // sweep[], its table[], axes[], frontier[] and recommend
+        ("sweep", not_arr(), "sweep"),
+        ("sweep.0", not_obj(), "sweep"),
+        ("sweep.0.name", not_str(), "name"),
+        ("sweep.0.platform", Drop, "platform"),
+        ("sweep.0.requests", not_num(), "requests"),
+        ("sweep.0.table", not_arr(), "table"),
+        ("sweep.0.table.0", not_obj(), "sweep row"),
+        ("sweep.0.table.0.scenario", not_str(), "scenario"),
+        ("sweep.0.table.0.scenario", Drop, "scenario"),
+        ("sweep.0.table.0.p99_ns", not_num(), "p99_ns"),
+        ("sweep.0.axes", not_arr(), "axes"),
+        ("sweep.0.axes.0", not_obj(), "axis"),
+        ("sweep.0.axes.0.axis", not_str(), "axis"),
+        ("sweep.0.axes.0.values", Drop, "values"),
+        ("sweep.0.frontier", not_arr(), "frontier"),
+        ("sweep.0.frontier.0", not_str(), "frontier"),
+        ("sweep.0.recommend", not_obj(), "recommend"),
+        ("sweep.0.recommend.scenario", not_str(), "scenario"),
+        ("sweep.0.recommend.slo_p99_ns", not_num(), "slo_p99_ns"),
+        (
+            "sweep.0.recommend.budget_replica_seconds",
+            Drop,
+            "budget_replica_seconds",
+        ),
+        ("sweep.0.recommend.feasible", Drop, "feasible"),
+        // breakdown[] and breakdown[].stages[]
+        ("breakdown", not_arr(), "breakdown"),
+        ("breakdown.0", not_obj(), "breakdown"),
+        ("breakdown.0.scenario", not_str(), "scenario"),
+        ("breakdown.0.seed", Drop, "seed"),
+        ("breakdown.0.mean_latency_ns", not_num(), "mean_latency_ns"),
+        ("breakdown.0.stages", not_arr(), "stages"),
+        ("breakdown.0.stages.0", not_obj(), "stage"),
+        ("breakdown.0.stages.0.stage", not_str(), "stage"),
+        ("breakdown.0.stages.0.p50_ns", Drop, "p50_ns"),
+        ("breakdown.0.stages.0.p99_ns", not_num(), "p99_ns"),
+    ];
+    let json = test_scale_report().to_json();
+    assert!(BenchReport::from_json(&json).is_ok());
+    for (path, defect, needle) in cases {
+        let mut bad = json.clone();
+        apply(&mut bad, path, defect);
+        match BenchReport::from_json(&bad) {
+            Ok(_) => panic!("{path}: malformed report parsed"),
+            Err(e) => assert!(e.contains(needle), "{path}: {e:?} does not name {needle:?}"),
+        }
+    }
+}
+
+/// Applies `defect` at the dotted `path` of `v`.
+fn apply(v: &mut Json, path: &str, defect: Defect) {
+    let (parent, last) = path.rsplit_once('.').unwrap_or(("", path));
+    let mut node = v;
+    for seg in parent.split('.').filter(|s| !s.is_empty()) {
+        node = child(node, seg);
+    }
+    match defect {
+        Defect::Set(value) => *child(node, last) = value,
+        Defect::Drop => match node {
+            Json::Obj(pairs) => pairs.retain(|(k, _)| k != last),
+            _ => panic!("{path}: cannot drop from a non-object"),
+        },
+    }
+}
+
+fn child<'a>(node: &'a mut Json, seg: &str) -> &'a mut Json {
+    match node {
+        Json::Obj(pairs) => pairs
+            .iter_mut()
+            .find(|(k, _)| k == seg)
+            .map(|(_, v)| v)
+            .unwrap_or_else(|| panic!("no key {seg:?}")),
+        Json::Arr(items) => &mut items[seg.parse::<usize>().expect("array index")],
+        _ => panic!("cannot descend into a scalar at {seg:?}"),
+    }
+}
+
 /// Removes every object entry named `key`, recursively — simulating a
 /// report written before that field existed.
 fn strip_key(v: &Json, key: &str) -> Json {

@@ -270,10 +270,10 @@ pub mod prelude {
     };
     pub use gdr_system::json::Json;
     pub use gdr_system::report::{
-        collect_host_records, collect_host_records_traced, compare, dominates, pareto_frontier,
-        recommend, BenchReport, BreakdownRecord, BreakdownStage, Comparison, HostRecord,
-        PaperReport, ServeRunRecord, ServeScenarioRecord, SweepRecommendation, SweepRecord,
-        SweepRowRecord, BREAKDOWN_STAGE_KEYS, HOST_TRACE_PID, SWEEP_OBJECTIVES,
+        collect_host_records, compare, dominates, pareto_frontier, recommend, BenchReport,
+        BreakdownRecord, BreakdownStage, Comparison, HostRecord, PaperReport, ServeRunRecord,
+        ServeScenarioRecord, SweepRecommendation, SweepRecord, SweepRowRecord,
+        BREAKDOWN_STAGE_KEYS, HOST_TRACE_PID, SWEEP_OBJECTIVES,
     };
     pub use gdr_system::trace_export::ChromeTrace;
 }
