@@ -7,7 +7,6 @@
 //! at 512 GB/s. The NA stage walks a real buffer model, so thrashing —
 //! and GDR-HGNN's effect on it — emerges from topology, not constants.
 
-use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
 
 use gdr_core::schedule::EdgeSchedule;
@@ -98,8 +97,10 @@ impl HiHgnnConfig {
 pub struct HiHgnnRun {
     /// Platform execution report.
     pub report: ExecReport,
-    /// Aggregated NA fetch counts (tag → fetches) across semantic graphs.
-    pub na_fetch_counts: HashMap<u64, u32>,
+    /// Replacement times (fetches − 1) of every **source** feature the
+    /// NA stage fetched, aggregated across semantic graphs in tag order
+    /// (graph, then vertex): the Fig. 2 data.
+    pub src_replacement_times: Vec<u32>,
     /// NA buffer hit rate across semantic graphs.
     pub na_hit_rate: f64,
     /// Decoupler-visible work: edges processed (for frontend overlap
@@ -108,12 +109,6 @@ pub struct HiHgnnRun {
 }
 
 impl HiHgnnRun {
-    /// Replacement-times table over **source** features (Fig. 2 data),
-    /// in tag order.
-    pub fn src_replacement_times(&self) -> Vec<u32> {
-        na_engine::src_replacement_times(&self.na_fetch_counts)
-    }
-
     /// The accelerator's platform-specific report extras (`cycles`,
     /// `edges`) at the given clock — the single definition shared by the
     /// standalone HiHGNN and combined-system `Platform` impls, so their
@@ -167,9 +162,6 @@ struct HiHgnnScratch {
     requests: Vec<MemRequest>,
     /// Per-lane cycle accumulators.
     lane_cycles: Vec<u64>,
-    /// Size of the previous execution's fetch-count table — pre-sizes
-    /// the next output map in one allocation instead of rehash growth.
-    counts_hint: usize,
 }
 
 impl Clone for HiHgnnSim {
@@ -226,7 +218,9 @@ impl HiHgnnSim {
     /// index-aligned with the workload descriptors, or if `schedules` is
     /// given and does not supply exactly one schedule per graph, and
     /// [`GdrError::InvalidConfig`] if a supplied schedule is not a
-    /// permutation of its graph's edge multiset.
+    /// permutation of its graph's edge multiset or if there are more
+    /// semantic graphs than the NA buffer's tag namespace holds
+    /// ([`na_engine::GRAPH_TAGS`]).
     pub fn try_execute<S: AsRef<EdgeSchedule>>(
         &self,
         workload: &Workload,
@@ -239,6 +233,16 @@ impl HiHgnnSim {
             workload.graphs().len(),
             graphs.len(),
         )?;
+        if graphs.len() as u64 > na_engine::GRAPH_TAGS {
+            return Err(GdrError::invalid_config(
+                "graphs",
+                format!(
+                    "{} semantic graphs exceed the NA buffer's {} graph tags",
+                    graphs.len(),
+                    na_engine::GRAPH_TAGS
+                ),
+            ));
+        }
         if let Some(s) = schedules {
             GdrError::check_aligned("schedules", graphs.len(), s.len())?;
             // A wrong-but-right-length schedule would silently simulate
@@ -270,7 +274,6 @@ impl HiHgnnSim {
             na,
             requests,
             lane_cycles,
-            counts_hint,
         } = &mut *guard;
         na.reset();
         requests.clear();
@@ -394,12 +397,6 @@ impl HiHgnnSim {
         // breakdown reflects the bound resource when memory dominates.
         let time_ns = total_cycles as f64 / self.cfg.clock_ghz;
 
-        // Move the aggregated counters out in one right-sized allocation
-        // (the previous execution's table size is the capacity hint).
-        let mut na_fetch_counts: HashMap<u64, u32> = HashMap::with_capacity((*counts_hint).max(16));
-        na_fetch_counts.extend(na.fetch_counts.iter().map(|(&t, &f)| (t, f)));
-        *counts_hint = na_fetch_counts.len();
-
         let stats = hbm.stats().clone();
         let report = ExecReport {
             platform: label.to_string(),
@@ -417,7 +414,7 @@ impl HiHgnnSim {
         };
         Ok(HiHgnnRun {
             report,
-            na_fetch_counts,
+            src_replacement_times: na_engine::src_replacement_times(&na.fetch_counts),
             na_hit_rate: if na_accesses == 0 {
                 0.0
             } else {
@@ -447,8 +444,8 @@ impl Platform for HiHgnnSim {
         // so drivers can join results back to their platform list.
         let run = self.try_execute(workload, graphs, schedules, Platform::name(self))?;
         Ok(PlatformRun {
-            src_replacement_times: run.src_replacement_times(),
             extra: run.platform_extras(self.cfg.clock_ghz),
+            src_replacement_times: run.src_replacement_times,
             report: run.report,
         })
     }
@@ -546,12 +543,12 @@ mod tests {
             ..HiHgnnConfig::default()
         };
         let run = HiHgnnSim::new(cfg.clone()).execute(&w, &graphs, None, "HiHGNN");
-        let rt = run.src_replacement_times();
+        let rt = &run.src_replacement_times;
         assert!(rt.iter().any(|&r| r > 0), "expected feature refetches");
         assert!(rt.contains(&0), "expected single fetches too");
-        // tag order, not hash order: a second sim with its own table agrees
+        // tag order: a second sim with its own counters agrees
         let again = HiHgnnSim::new(cfg).execute(&w, &graphs, None, "HiHGNN");
-        assert_eq!(again.src_replacement_times(), rt);
+        assert_eq!(&again.src_replacement_times, rt);
     }
 
     #[test]
@@ -585,6 +582,40 @@ mod tests {
                 gdr_hetgraph::GdrError::InvalidConfig { .. }
                     | gdr_hetgraph::GdrError::LengthMismatch { .. }
             ),
+            "got {err}"
+        );
+    }
+
+    #[test]
+    fn graph_count_bounded_by_the_tag_namespace() {
+        use gdr_hetgraph::{HeteroGraph, Schema};
+        // `n` one-edge semantic graphs over two vertex types
+        let inputs = |n: usize| {
+            let mut schema = Schema::new();
+            let a = schema.add_vertex_type("a", 4, 8).unwrap();
+            let b = schema.add_vertex_type("b", 4, 8).unwrap();
+            let rels: Vec<_> = (0..n)
+                .map(|i| schema.add_relation(format!("r{i}"), a, b).unwrap())
+                .collect();
+            let mut het = HeteroGraph::new(schema);
+            for (i, &r) in rels.iter().enumerate() {
+                het.add_edges(r, &[(i as u32 % 4, 0)]).unwrap();
+            }
+            let w = Workload::from_hetero(ModelConfig::paper(ModelKind::Rgcn), &het);
+            (w, het.all_semantic_graphs())
+        };
+        let sim = HiHgnnSim::new(HiHgnnConfig::default());
+        let (w, graphs) = inputs(na_engine::GRAPH_TAGS as usize);
+        let run = sim
+            .try_execute::<EdgeSchedule>(&w, &graphs, None, "x")
+            .unwrap();
+        assert_eq!(run.total_edges, graphs.len());
+        let (w, graphs) = inputs(na_engine::GRAPH_TAGS as usize + 1);
+        let err = sim
+            .try_execute::<EdgeSchedule>(&w, &graphs, None, "x")
+            .unwrap_err();
+        assert!(
+            matches!(err, GdrError::InvalidConfig { what: "graphs", .. }),
             "got {err}"
         );
     }
@@ -625,7 +656,7 @@ mod tests {
         assert_eq!(run.report, direct.report);
         assert_eq!(
             run.src_replacement_times.len(),
-            direct.src_replacement_times().len()
+            direct.src_replacement_times.len()
         );
     }
 }

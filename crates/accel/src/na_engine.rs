@@ -5,10 +5,8 @@
 //! statistics of Fig. 2. Used by the HiHGNN model with either the natural
 //! destination-major schedule or a GDR-restructured schedule.
 
-use std::collections::HashMap;
-
 use gdr_core::schedule::EdgeSchedule;
-use gdr_core::workspace::BufferScratch;
+use gdr_core::workspace::{BufferScratch, FetchCounts};
 use gdr_hetgraph::BipartiteGraph;
 use gdr_memsim::buffer::{Access, BufferStats, Replacement, SetAssocBuffer};
 use gdr_memsim::hbm::MemRequest;
@@ -20,10 +18,23 @@ const SRC_BASE: u64 = 0x4000_0000;
 const DST_BASE: u64 = 0x8000_0000;
 const TOPO_BASE: u64 = 0xC000_0000;
 
+/// Graph tags the buffer tags can namespace: `graph_tag` fills bits
+/// 32..40, just below the side bit.
+pub const GRAPH_TAGS: u64 = 1 << 8;
+
 /// Tag encoding: bit 40 distinguishes destination accumulators from
 /// source features; the low bits carry `graph_tag` and the vertex id.
+/// The tag's slot (`tag >> 32`) indexes the dense [`FetchCounts`].
 fn tag(graph_tag: u64, is_dst: bool, id: u32) -> u64 {
     ((is_dst as u64) << 40) | (graph_tag << 32) | id as u64
+}
+
+/// Rejects a graph tag that would spill into the side bit.
+fn check_graph_tag(graph_tag: u64) {
+    assert!(
+        graph_tag < GRAPH_TAGS,
+        "graph_tag {graph_tag} outside the tag namespace 0..{GRAPH_TAGS}"
+    );
 }
 
 /// One edge's buffer traffic: a source feature read and a destination
@@ -32,14 +43,14 @@ fn tag(graph_tag: u64, is_dst: bool, id: u32) -> u64 {
 fn access_edge(
     buf: &mut SetAssocBuffer,
     requests: &mut Vec<MemRequest>,
-    fetch_counts: &mut HashMap<u64, u32>,
+    fetch_counts: &mut FetchCounts,
     graph_tag: u64,
     e: &gdr_hetgraph::Edge,
     fb: u32,
 ) {
     let t = tag(graph_tag, false, e.src.raw());
     if let Access::Miss { .. } = buf.access(t) {
-        *fetch_counts.entry(t).or_insert(0) += 1;
+        fetch_counts.bump(t);
         requests.push(MemRequest::read(
             SRC_BASE + e.src.raw() as u64 * fb as u64,
             fb,
@@ -47,7 +58,7 @@ fn access_edge(
     }
     let t = tag(graph_tag, true, e.dst.raw());
     if let Access::Miss { evicted } = buf.access(t) {
-        *fetch_counts.entry(t).or_insert(0) += 1;
+        fetch_counts.bump(t);
         requests.push(MemRequest::read(
             DST_BASE + e.dst.raw() as u64 * fb as u64,
             fb,
@@ -74,9 +85,9 @@ pub struct NaTrace {
     /// The DRAM request trace (feature fetches, dirty write-backs,
     /// topology streaming).
     pub requests: Vec<MemRequest>,
-    /// Fetch counts per tag (see [`NaBufferSim::simulate`]); replacement
-    /// times = fetches − 1.
-    pub fetch_counts: HashMap<u64, u32>,
+    /// Fetch counts per tag (see [`NaBufferSim::simulate`]), dense and
+    /// iterated in tag order; replacement times = fetches − 1.
+    pub fetch_counts: FetchCounts,
 }
 
 impl NaTrace {
@@ -103,16 +114,15 @@ impl NaTrace {
 }
 
 /// Replacement times (fetches − 1) of the source-feature tags in a
-/// fetch-count table, in tag order — independent of the table's hash
-/// seed, so two runs of one model return equal vectors.
-pub(crate) fn src_replacement_times(fetch_counts: &HashMap<u64, u32>) -> Vec<u32> {
-    let mut src: Vec<(u64, u32)> = fetch_counts
+/// fetch-count table, in tag order: the counters iterate in tag order
+/// and source tags (side bit clear) come first, so this walks only the
+/// source slots.
+pub(crate) fn src_replacement_times(fetch_counts: &FetchCounts) -> Vec<u32> {
+    fetch_counts
         .iter()
-        .filter(|(&t, _)| t >> 40 == 0)
-        .map(|(&t, &f)| (t, f.saturating_sub(1)))
-        .collect();
-    src.sort_unstable();
-    src.into_iter().map(|(_, r)| r).collect()
+        .take_while(|&(t, _)| t >> 40 == 0)
+        .map(|(_, f)| f - 1)
+        .collect()
 }
 
 /// The NA buffer simulator.
@@ -171,6 +181,11 @@ impl NaBufferSim {
     /// chunks of `chunk` edges are interleaved round-robin across the
     /// lanes, which is how the multi-lane NA engines interleave their
     /// buffer traffic in time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunk` is zero or a graph tag is not below
+    /// [`GRAPH_TAGS`].
     pub fn simulate_wave(
         &self,
         items: &[(&BipartiteGraph, &EdgeSchedule, u64)],
@@ -188,6 +203,11 @@ impl NaBufferSim {
     /// are graph-namespaced) until the caller resets the scratch or
     /// changes the buffer geometry. Per-wave residency, stats, and
     /// requests are identical to the transient-buffer path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunk` is zero or a graph tag is not below
+    /// [`GRAPH_TAGS`].
     pub fn simulate_wave_with(
         &self,
         scratch: &mut BufferScratch,
@@ -195,6 +215,9 @@ impl NaBufferSim {
         chunk: usize,
     ) -> BufferStats {
         assert!(chunk > 0, "chunk must be positive");
+        for &(_, _, graph_tag) in items {
+            check_graph_tag(graph_tag);
+        }
         let (buf, requests, counts) =
             scratch.prepare(self.capacity_features, self.ways, self.policy);
         let fb = FEATURE_BYTES as u32;
@@ -232,6 +255,10 @@ impl NaBufferSim {
 
     /// Simulates the schedule; `graph_tag` namespaces the tags so traces
     /// from several semantic graphs can be aggregated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `graph_tag` is not below [`GRAPH_TAGS`].
     pub fn simulate(&self, g: &BipartiteGraph, schedule: &EdgeSchedule, graph_tag: u64) -> NaTrace {
         let mut scratch = BufferScratch::default();
         let stats = self.simulate_edges_with(&mut scratch, g, schedule.edges(), graph_tag);
@@ -247,6 +274,10 @@ impl NaBufferSim {
     /// [`NaBufferSim::simulate_wave_with`]: per-run stats returned,
     /// requests in `scratch.requests`, fetch counts aggregating in
     /// `scratch.fetch_counts`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `graph_tag` is not below [`GRAPH_TAGS`].
     pub fn simulate_edges_with(
         &self,
         scratch: &mut BufferScratch,
@@ -254,6 +285,7 @@ impl NaBufferSim {
         edges: &[gdr_hetgraph::Edge],
         graph_tag: u64,
     ) -> BufferStats {
+        check_graph_tag(graph_tag);
         let (buf, requests, counts) =
             scratch.prepare(self.capacity_features, self.ways, self.policy);
         let fb = FEATURE_BYTES as u32;
@@ -314,6 +346,7 @@ mod tests {
     use gdr_core::restructure::Restructurer;
     use gdr_hetgraph::gen::PowerLawConfig;
     use gdr_hetgraph::Edge;
+    use std::collections::HashMap;
 
     fn graph() -> BipartiteGraph {
         PowerLawConfig::new(600, 600, 4800)
@@ -377,7 +410,7 @@ mod tests {
         let edges = [Edge::new(0, 0), Edge::new(1, 0), Edge::new(0, 0)];
         let mut scratch = BufferScratch::default();
         NaBufferSim::new(1, 1).simulate_edges_with(&mut scratch, &g, &edges, 0);
-        assert_eq!(scratch.fetch_counts[&tag(0, true, 0)], 3);
+        assert_eq!(scratch.fetch_counts.get(tag(0, true, 0)), 3);
         assert_eq!(src_replacement_times(&scratch.fetch_counts), vec![1, 0]);
     }
 
@@ -393,12 +426,8 @@ mod tests {
         let stats = sim.simulate_edges_with(&mut scratch, &g, sched.edges(), 0);
         assert_eq!((stats.hits, stats.misses), (fresh.hits, fresh.misses));
         // …while the counts aggregate across prepares
-        let doubled: HashMap<u64, u32> = fresh
-            .fetch_counts
-            .iter()
-            .map(|(&t, &f)| (t, 2 * f))
-            .collect();
-        assert_eq!(scratch.fetch_counts, doubled);
+        let doubled: Vec<(u64, u32)> = fresh.fetch_counts.iter().map(|(t, f)| (t, 2 * f)).collect();
+        assert_eq!(scratch.fetch_counts.iter().collect::<Vec<_>>(), doubled);
         // a geometry change starts them over
         let other = NaBufferSim::new(32, 4).with_policy(Replacement::Lru);
         other.simulate_edges_with(&mut scratch, &g, sched.edges(), 0);
@@ -407,12 +436,12 @@ mod tests {
             other.simulate(&g, &sched, 0).fetch_counts
         );
         scratch.reset();
-        assert!(scratch.fetch_counts.is_empty());
+        assert_eq!(scratch.fetch_counts.iter().count(), 0);
     }
 
     #[test]
     fn src_replacement_times_are_in_tag_order() {
-        // two runs, each with its own (differently seeded) count table
+        // two runs, each with its own counters
         let g = graph();
         let sched = EdgeSchedule::random(&g, 3);
         let sim = NaBufferSim::new(64, 8);
@@ -440,9 +469,91 @@ mod tests {
         let sim = NaBufferSim::new(16, 4);
         let a = sim.simulate(&g, &EdgeSchedule::dst_major(&g), 0);
         let b = sim.simulate(&g, &EdgeSchedule::dst_major(&g), 3);
-        let ka: Vec<u64> = a.fetch_counts.keys().copied().collect();
-        let kb: Vec<u64> = b.fetch_counts.keys().copied().collect();
+        let ka: Vec<u64> = a.fetch_counts.iter().map(|(t, _)| t).collect();
+        let kb: Vec<u64> = b.fetch_counts.iter().map(|(t, _)| t).collect();
+        assert!(!ka.is_empty() && !kb.is_empty());
         assert!(ka.iter().all(|k| !kb.contains(k)));
+    }
+
+    /// The hash-map counting the dense counters replaced, kept as their
+    /// oracle: `edges` walked through a buffer of its own, every miss
+    /// counted per tag.
+    fn reference_counts(
+        buf: &mut SetAssocBuffer,
+        counts: &mut HashMap<u64, u32>,
+        edges: &[Edge],
+        graph_tag: u64,
+    ) {
+        for e in edges {
+            for t in [
+                tag(graph_tag, false, e.src.raw()),
+                tag(graph_tag, true, e.dst.raw()),
+            ] {
+                if !buf.access(t).is_hit() {
+                    *counts.entry(t).or_insert(0) += 1;
+                }
+            }
+        }
+    }
+
+    /// The map's entries in tag order, and its source replacement
+    /// times sorted by tag — the pre-dense definition.
+    fn reference_views(counts: &HashMap<u64, u32>) -> (Vec<(u64, u32)>, Vec<u32>) {
+        let mut entries: Vec<(u64, u32)> = counts.iter().map(|(&t, &f)| (t, f)).collect();
+        entries.sort_unstable();
+        let src = entries
+            .iter()
+            .filter(|&&(t, _)| t >> 40 == 0)
+            .map(|&(_, f)| f.saturating_sub(1))
+            .collect();
+        (entries, src)
+    }
+
+    #[test]
+    fn dense_counts_match_hash_map_reference() {
+        let geometries = [(64, 8, Replacement::Fifo), (48, 4, Replacement::Lru)];
+        for seed in 0..24u64 {
+            let mut scratch = BufferScratch::default();
+            let mut reference: HashMap<u64, u32> = HashMap::new();
+            // random miss streams over several graph tags, the largest
+            // tag included; geometry changes twice mid-sequence
+            for (step, graph_tag) in [0, 5, GRAPH_TAGS - 1, 5, 2, 0].into_iter().enumerate() {
+                let ctx = format!("seed {seed} step {step}");
+                let (cap, ways, policy) = geometries[step / 2 % 2];
+                let sim = NaBufferSim::new(cap, ways).with_policy(policy);
+                if step > 0 && step % 2 == 0 {
+                    reference.clear();
+                }
+                let n = 40 + 17 * (seed as usize % 5) + 31 * step;
+                let g = PowerLawConfig::new(n, n / 2 + 3, 6 * n)
+                    .dst_alpha(0.8)
+                    .generate("g", seed * 8 + step as u64);
+                let sched = EdgeSchedule::random(&g, seed + step as u64);
+                sim.simulate_edges_with(&mut scratch, &g, sched.edges(), graph_tag);
+                let mut buf = SetAssocBuffer::with_capacity(cap, ways, policy);
+                reference_counts(&mut buf, &mut reference, sched.edges(), graph_tag);
+
+                let (entries, src) = reference_views(&reference);
+                let dense: Vec<(u64, u32)> = scratch.fetch_counts.iter().collect();
+                assert_eq!(dense, entries, "{ctx}: iter");
+                assert_eq!(src_replacement_times(&scratch.fetch_counts), src, "{ctx}");
+                for &(t, f) in &entries {
+                    assert_eq!(scratch.fetch_counts.get(t), f, "{ctx}: get {t:#x}");
+                }
+                assert!(src.iter().any(|&r| r > 0), "{ctx}: premise, refetches");
+            }
+            scratch.reset();
+            assert_eq!(scratch.fetch_counts, FetchCounts::default(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the tag namespace")]
+    fn graph_tags_past_the_side_bit_rejected() {
+        // graph_tag 256 would set bit 40 and alias destination tags
+        let g = BipartiteGraph::from_pairs("t", 1, 1, &[(0, 0)]).unwrap();
+        let sched = EdgeSchedule::dst_major(&g);
+        NaBufferSim::new(16, 4).simulate_wave(&[(&g, &sched, 0), (&g, &sched, GRAPH_TAGS)], 4);
     }
 
     #[test]
@@ -468,10 +579,11 @@ mod tests {
             assert_eq!(stats.misses, fresh.misses, "seed {seed}");
             assert_eq!(scratch.requests, fresh.requests, "seed {seed}");
             // counters aggregate across runs (tags are namespaced by seed)
-            for (t, f) in &fresh.fetch_counts {
-                *expected_counts.entry(*t).or_insert(0) += f;
+            for (t, f) in fresh.fetch_counts.iter() {
+                *expected_counts.entry(t).or_insert(0) += f;
             }
-            assert_eq!(scratch.fetch_counts, expected_counts, "seed {seed}");
+            let pooled: Vec<(u64, u32)> = scratch.fetch_counts.iter().collect();
+            assert_eq!(pooled, reference_views(&expected_counts).0, "seed {seed}");
         }
     }
 

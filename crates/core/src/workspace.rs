@@ -47,7 +47,7 @@
 //! }
 //! ```
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use gdr_hetgraph::Edge;
 use gdr_memsim::buffer::{Replacement, SetAssocBuffer};
@@ -58,13 +58,95 @@ use crate::locality::LruScratch;
 use crate::matching::Matching;
 use crate::recouple::{RestructuredSubgraphs, VertexPartition};
 
+/// Per-tag fetch counters of the NA buffer, dense: one `u32` vector per
+/// tag slot `tag >> 32`, indexed by the tag's low 32 bits (the vertex
+/// id). Memory grows with the largest slot and id counted, so slots
+/// must stay few: the NA engine's tags put only its side bit and 8-bit
+/// graph tag in the slot, at most 512 slots. A vector grows only when a
+/// larger id is first counted; [`FetchCounts::clear`] zeroes the
+/// counters and keeps every allocation, so a warm counter set bumps
+/// without hashing or allocating.
+///
+/// # Examples
+///
+/// ```
+/// use gdr_core::workspace::FetchCounts;
+/// let mut counts = FetchCounts::default();
+/// for tag in [(1 << 32) | 4, 9, (1 << 32) | 4] {
+///     counts.bump(tag);
+/// }
+/// assert_eq!(counts.get((1 << 32) | 4), 2);
+/// assert_eq!(counts.get(3), 0);
+/// // nonzero counters only, in tag order
+/// assert_eq!(counts.iter().collect::<Vec<_>>(), [(9, 1), ((1 << 32) | 4, 2)]);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct FetchCounts {
+    slots: Vec<Vec<u32>>,
+}
+
+impl FetchCounts {
+    /// Counts one fetch of `tag`.
+    #[inline]
+    pub fn bump(&mut self, tag: u64) {
+        let (slot, id) = ((tag >> 32) as usize, tag as u32 as usize);
+        if slot >= self.slots.len() {
+            self.slots.resize_with(slot + 1, Vec::new);
+        }
+        let counts = &mut self.slots[slot];
+        if id >= counts.len() {
+            counts.resize(id + 1, 0);
+        }
+        counts[id] += 1;
+    }
+
+    /// Fetches of `tag` so far (0 if never fetched).
+    pub fn get(&self, tag: u64) -> u32 {
+        self.slots
+            .get((tag >> 32) as usize)
+            .and_then(|counts| counts.get(tag as u32 as usize))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// `(tag, fetches)` of every fetched tag, in tag order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.slots.iter().enumerate().flat_map(|(slot, counts)| {
+            counts
+                .iter()
+                .enumerate()
+                .filter(|&(_, &f)| f > 0)
+                .map(move |(id, &f)| (((slot as u64) << 32) | id as u64, f))
+        })
+    }
+
+    /// Zeroes every counter (capacity kept).
+    pub fn clear(&mut self) {
+        for counts in &mut self.slots {
+            counts.fill(0);
+        }
+    }
+}
+
+/// Equal when the same tags have the same counts, however far each
+/// side's vectors have grown.
+impl PartialEq for FetchCounts {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for FetchCounts {}
+
 /// Pooled set-associative buffer simulation state: one
 /// [`SetAssocBuffer`] (kept across runs, [`SetAssocBuffer::reset`] between
-/// them), a DRAM request-log vector, and the per-tag fetch counts the NA
-/// engine records on every miss (Fig. 2's "replacement times" statistic:
-/// replacement times = fetches − 1). Everything is `clear()`ed, never
-/// dropped. The NA-engine models drive their `_with` entry points through
-/// one of these instead of constructing transient buffers per wave.
+/// them), a DRAM request-log vector, and the dense per-tag
+/// [`FetchCounts`] the NA engine bumps on every miss (Fig. 2's
+/// "replacement times" statistic: replacement times = fetches − 1).
+/// Everything is cleared or zeroed, never dropped, so a warm scratch
+/// simulates without allocating. The NA-engine models drive their
+/// `_with` entry points through one of these instead of constructing
+/// transient buffers per wave.
 #[derive(Debug, Clone, Default)]
 pub struct BufferScratch {
     /// Pooled buffer; `None` until the first [`BufferScratch::prepare`].
@@ -72,9 +154,9 @@ pub struct BufferScratch {
     /// Pooled DRAM request log (cleared per prepare, capacity kept).
     pub requests: Vec<MemRequest>,
     /// Fetches per tag, aggregated across runs at one geometry: kept by
-    /// [`BufferScratch::prepare`], cleared by a geometry change and by
+    /// [`BufferScratch::prepare`], zeroed by a geometry change and by
     /// [`BufferScratch::reset`].
-    pub fetch_counts: HashMap<u64, u32>,
+    pub fetch_counts: FetchCounts,
 }
 
 impl BufferScratch {
@@ -82,18 +164,14 @@ impl BufferScratch {
     /// geometry: the request log is cleared and the pooled buffer is
     /// reset (residency and stats restart; **fetch counts are kept**,
     /// aggregating across runs until [`BufferScratch::reset`]). A
-    /// geometry change reshapes the buffer in place and clears the
+    /// geometry change reshapes the buffer in place and zeroes the
     /// counts too.
     pub fn prepare(
         &mut self,
         capacity_lines: usize,
         ways: usize,
         policy: Replacement,
-    ) -> (
-        &mut SetAssocBuffer,
-        &mut Vec<MemRequest>,
-        &mut HashMap<u64, u32>,
-    ) {
+    ) -> (&mut SetAssocBuffer, &mut Vec<MemRequest>, &mut FetchCounts) {
         self.requests.clear();
         let sets = (capacity_lines / ways).max(1);
         match &mut self.buffer {
@@ -203,8 +281,9 @@ pub struct Workspace {
     /// whole runs hand the storage back with
     /// [`Workspace::recycle_request_log`].
     pub request_pool: Vec<Vec<MemRequest>>,
-    /// Pooled NA-buffer simulation state (set-associative buffer +
-    /// request log) for the accelerator models' `_with` entry points.
+    /// Pooled NA-buffer simulation state (set-associative buffer,
+    /// request log and dense fetch counters) for the accelerator models'
+    /// `_with` entry points.
     pub buffer_scratch: BufferScratch,
     /// Pooled fully-associative LRU analysis state for
     /// [`try_simulate_lru_with`](crate::locality::try_simulate_lru_with).
@@ -277,19 +356,42 @@ mod tests {
     fn fetch_counts_aggregate_until_geometry_change_or_reset() {
         let mut scratch = BufferScratch::default();
         let (_, _, counts) = scratch.prepare(64, 8, Replacement::Fifo);
-        counts.insert(7, 2);
+        counts.bump(7);
+        counts.bump(7);
         // same geometry: counts aggregate across prepares
         let (buf, _, counts) = scratch.prepare(64, 8, Replacement::Fifo);
         assert_eq!(buf.stats().accesses, 0);
-        assert_eq!(counts.get(&7), Some(&2));
+        assert_eq!(counts.get(7), 2);
         // a geometry change clears them
-        scratch.prepare(64, 4, Replacement::Fifo).2.insert(9, 1);
+        scratch.prepare(64, 4, Replacement::Fifo).2.bump(9);
         let (buf, _, counts) = scratch.prepare(64, 4, Replacement::Lru);
         assert_eq!((buf.ways(), buf.policy()), (4, Replacement::Lru));
-        assert!(counts.is_empty());
+        assert_eq!(counts.iter().count(), 0);
         // and so does reset
-        counts.insert(9, 1);
+        counts.bump(9);
         scratch.reset();
-        assert!(scratch.fetch_counts.is_empty());
+        assert_eq!(scratch.fetch_counts.iter().count(), 0);
+    }
+
+    #[test]
+    fn fetch_counts_clear_keeps_capacity_and_compare_by_content() {
+        let mut counts = FetchCounts::default();
+        let tags = [(1u64 << 40) | 3, (255 << 32) | 1000, 0, 2];
+        for &t in &tags {
+            counts.bump(t);
+        }
+        let grown = counts.clone();
+        let caps: Vec<usize> = counts.slots.iter().map(Vec::capacity).collect();
+        counts.clear();
+        assert_eq!(counts, FetchCounts::default(), "zeroed equals empty");
+        assert!(tags.iter().all(|&t| counts.get(t) == 0));
+        let kept: Vec<usize> = counts.slots.iter().map(Vec::capacity).collect();
+        assert_eq!(kept, caps, "clear must keep every vector's capacity");
+        // re-counting into the warm vectors reproduces the first pass
+        for &t in &tags {
+            counts.bump(t);
+        }
+        assert_eq!(counts, grown);
+        assert_ne!(counts, FetchCounts::default());
     }
 }

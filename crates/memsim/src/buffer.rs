@@ -6,8 +6,8 @@
 //! the GPU baselines' L2 is modelled the same way at sector granularity.
 //! The buffer is a pure cache model — residency, hits, misses and victims.
 //! Per-tag fetch counting (the "replacement times of vertices' features"
-//! statistic) lives with its one reader, the NA engine's
-//! `gdr_core::workspace::BufferScratch`.
+//! statistic) lives with its one reader, the NA engine's dense
+//! `gdr_core::workspace::FetchCounts`.
 
 /// Replacement policy of a buffer set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -69,6 +69,12 @@ impl BufferStats {
 /// moves the tag to the front, a FIFO hit leaves the order alone, and a
 /// miss evicts the last filled way and inserts at the front.
 ///
+/// A tag's set is the upper half of its Fibonacci hash modulo the set
+/// count. The remainder is taken without a division: a magic constant
+/// precomputed per geometry (Lemire's fastmod) gives exactly `h % sets`
+/// for every 32-bit `h`, so placement matches a plain `%` on any set
+/// count.
+///
 /// # Examples
 ///
 /// ```
@@ -81,6 +87,8 @@ impl BufferStats {
 #[derive(Debug, Clone)]
 pub struct SetAssocBuffer {
     sets: usize,
+    // fastmod magic of `sets`, see `fastmod_magic`
+    set_magic: u64,
     ways: usize,
     policy: Replacement,
     // sets × ways tags, set-major; within a set, index 0 is the newest
@@ -95,11 +103,12 @@ impl SetAssocBuffer {
     ///
     /// # Panics
     ///
-    /// Panics if `sets == 0` or `ways == 0`.
+    /// Panics if `sets == 0`, `ways == 0` or `sets > u32::MAX`.
     pub fn new(sets: usize, ways: usize, policy: Replacement) -> Self {
-        assert!(sets > 0 && ways > 0, "degenerate buffer geometry");
+        check_geometry(sets, ways);
         Self {
             sets,
+            set_magic: fastmod_magic(sets),
             ways,
             policy,
             tags: vec![0; sets * ways],
@@ -143,7 +152,7 @@ impl SetAssocBuffer {
     /// Touches `tag`, fetching it on a miss.
     pub fn access(&mut self, tag: u64) -> Access {
         self.stats.accesses += 1;
-        let set = set_index(tag, self.sets);
+        let set = self.set_of(tag);
         let filled = self.fill[set] as usize;
         let lines = &mut self.tags[set * self.ways..(set + 1) * self.ways];
         if let Some(i) = lines[..filled].iter().position(|&t| t == tag) {
@@ -169,7 +178,7 @@ impl SetAssocBuffer {
 
     /// Probes residency without changing state or statistics.
     pub fn contains(&self, tag: u64) -> bool {
-        let set = set_index(tag, self.sets);
+        let set = self.set_of(tag);
         self.tags[set * self.ways..][..self.fill[set] as usize].contains(&tag)
     }
 
@@ -187,20 +196,58 @@ impl SetAssocBuffer {
     ///
     /// # Panics
     ///
-    /// Panics if `sets == 0` or `ways == 0`.
+    /// Panics if `sets == 0`, `ways == 0` or `sets > u32::MAX`.
     pub fn reshape(&mut self, sets: usize, ways: usize, policy: Replacement) {
-        assert!(sets > 0 && ways > 0, "degenerate buffer geometry");
+        check_geometry(sets, ways);
         self.tags.resize(sets * ways, 0);
         self.fill.resize(sets, 0);
         self.sets = sets;
+        self.set_magic = fastmod_magic(sets);
         self.ways = ways;
         self.policy = policy;
         self.reset();
     }
+
+    /// Set of `tag`: `set_hash(tag) % sets`, without the division.
+    #[inline]
+    fn set_of(&self, tag: u64) -> usize {
+        fastmod(set_hash(tag), self.set_magic, self.sets as u32) as usize
+    }
 }
 
-/// Set of `tag` among `sets`: Fibonacci hashing spreads structured vertex
-/// ids across sets.
+fn check_geometry(sets: usize, ways: usize) {
+    assert!(sets > 0 && ways > 0, "degenerate buffer geometry");
+    assert!(u32::try_from(sets).is_ok(), "set count must fit in 32 bits");
+}
+
+/// Upper half of the Fibonacci hash of `tag`, which spreads structured
+/// vertex ids across sets.
+#[inline]
+fn set_hash(tag: u64) -> u32 {
+    (tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as u32
+}
+
+/// Lemire's fastmod magic for divisor `d`: `ceil(2^64 / d)`, which wraps
+/// to 0 for `d == 1` (where [`fastmod`] then returns the right remainder,
+/// 0).
+fn fastmod_magic(d: usize) -> u64 {
+    (u64::MAX / d as u64).wrapping_add(1)
+}
+
+/// `h % d` for any 32-bit `h` and nonzero 32-bit `d`, given
+/// `magic == fastmod_magic(d)` (Lemire, Kaser & Kurz, "Faster Remainder
+/// by Direct Computation", 2019): the low 64 bits of `magic · h` are the
+/// fractional part of `h / d`, which scaled by `d` is the remainder.
+#[inline]
+fn fastmod(h: u32, magic: u64, d: u32) -> u32 {
+    let frac = magic.wrapping_mul(h as u64);
+    ((frac as u128 * d as u128) >> 64) as u32
+}
+
+/// Set of `tag` among `sets` by plain division — the definition
+/// [`SetAssocBuffer`]'s fastmod placement must reproduce, kept as the
+/// tests' oracle.
+#[cfg(test)]
 fn set_index(tag: u64, sets: usize) -> usize {
     ((tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % sets as u64) as usize
 }
@@ -271,16 +318,37 @@ mod tests {
             .collect()
     }
 
+    /// `(sets, ways)` the oracle nets run over: degenerate and odd set
+    /// counts, the HiHGNN NA window (3716 features, 8 ways) and, last,
+    /// the T4's L2 (4 MiB of 32 B sectors, 16 ways).
+    const GEOMETRIES: [(usize, usize); 8] = [
+        (1, 1),
+        (1, 16),
+        (3, 4),
+        (7, 3),
+        (8, 8),
+        (464, 8),
+        (512, 16),
+        (8192, 16),
+    ];
+
     #[test]
     fn matches_stamp_reference_exactly() {
         for seed in 0..48u64 {
             for policy in [Replacement::Lru, Replacement::Fifo] {
-                for (sets, ways) in [(1, 1), (1, 16), (7, 3), (512, 16), (8, 8)] {
-                    for skewed in [false, true] {
+                for skewed in [false, true] {
+                    // one buffer reshaped through every geometry
+                    let mut buf = SetAssocBuffer::new(1, 1, policy);
+                    for (sets, ways) in GEOMETRIES {
+                        // the L2 holds 16× the lines of the next largest
+                        // geometry; every 16th seed keeps the debug run short
+                        if sets * ways > 1 << 16 && seed % 16 != 0 {
+                            continue;
+                        }
                         let ctx = format!("seed {seed} {policy:?} {sets}x{ways} skewed {skewed}");
                         let len = 3 * sets * ways + 64;
                         let stream = tag_stream(seed, sets * ways, skewed, len);
-                        let mut buf = SetAssocBuffer::new(sets, ways, policy);
+                        buf.reshape(sets, ways, policy);
                         let mut oracle = Reference {
                             ways,
                             policy,
@@ -302,6 +370,47 @@ mod tests {
                         }
                         assert_eq!(buf.stats(), fresh.stats(), "{ctx} replay");
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fast_set_index_matches_division() {
+        // the oracle geometries, the A100's L2 (81920 sets), and the
+        // 32-bit extremes
+        let mut divisors: Vec<usize> = GEOMETRIES.iter().map(|&(sets, _)| sets).collect();
+        divisors.extend([2, 81920, (1 << 31) - 1, 1 << 31, u32::MAX as usize]);
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..64 {
+            divisors.push((next() as u32).max(1) as usize);
+        }
+        for &d in &divisors {
+            let magic = fastmod_magic(d);
+            let exact = |h: u32| {
+                let fast = fastmod(h, magic, d as u32) as usize;
+                assert_eq!(fast, h as usize % d, "{h} % {d}");
+            };
+            for h in [0, 1, d as u32 - 1, d as u32, u32::MAX - 1, u32::MAX] {
+                exact(h);
+            }
+            // a real buffer where its line storage stays small
+            let buf = (d <= 81920).then(|| SetAssocBuffer::new(d, 1, Replacement::Fifo));
+            for _ in 0..4096 {
+                let tag = next();
+                exact(set_hash(tag));
+                if let Some(buf) = &buf {
+                    assert_eq!(
+                        buf.set_of(tag),
+                        set_index(tag, d),
+                        "tag {tag} over {d} sets"
+                    );
                 }
             }
         }

@@ -194,7 +194,7 @@ impl Platform for CombinedSystem {
                 .map(|(k, v)| (k.to_string(), v)),
         );
         Ok(PlatformRun {
-            src_replacement_times: run.accel.src_replacement_times(),
+            src_replacement_times: run.accel.src_replacement_times,
             extra,
             report: run.accel.report,
         })
