@@ -1,19 +1,33 @@
 //! GPU baseline models: DGL 1.0.2 on NVIDIA T4 and A100.
 //!
-//! A hybrid trace + roofline model (see DESIGN.md's substitution table):
-//! the NA stage's feature gathers run through a sector-accurate L2 cache
-//! simulation — reproducing the paper's measured L2 hit ratios and the
-//! dataset-dependent thrashing — while regular streaming stages use
-//! bandwidth/compute rooflines with calibrated efficiencies. DGL's
-//! per-relation eager execution is charged per-kernel launch overhead and
-//! its heterogeneous COO path materializes per-edge messages through
-//! DRAM, both of which the characterization study [Yan et al., CAL 2022]
-//! identifies as the dominant GPU inefficiencies.
+//! A hybrid trace + roofline model, standing in for running DGL on the
+//! real GPUs: the NA stage's feature gathers run through a
+//! sector-accurate L2 cache simulation — reproducing the paper's measured
+//! L2 hit ratios and the dataset-dependent thrashing — while regular
+//! streaming stages use bandwidth/compute rooflines with calibrated
+//! efficiencies. DGL's per-relation eager execution is charged per-kernel
+//! launch overhead and its heterogeneous COO path materializes per-edge
+//! messages through DRAM, both of which the characterization study
+//! [Yan et al., CAL 2022] identifies as the dominant GPU inefficiencies.
+//!
+//! # Write-once message sectors
+//!
+//! Per edge the L2 sees the source feature's sectors gathered, then the
+//! edge's message sectors written. Message tags (bit 63, graph, edge
+//! index, sector) are unique, so a message sector never hits: under LRU
+//! it only pushes the gathered lines of its set one way down. The L2 is
+//! therefore a [`WriteOnceLru`], which stores the gathered lines and
+//! counts each set's message sectors with one increment instead of a
+//! 16-way tag scan. Hits and misses equal those of an LRU
+//! `SetAssocBuffer` fed every sector as long as message tags stay unique
+//! (at most 256 sectors per message, the tag's sector field) and one
+//! execution writes at most [`WriteOnceLru::MAX_WRITE_ONCE`] message
+//! sectors; [`GpuSim::try_execute`] rejects other executions up front.
 
 use gdr_core::schedule::EdgeSchedule;
 use gdr_hetgraph::{BipartiteGraph, GdrError, GdrResult};
 use gdr_hgnn::workload::Workload;
-use gdr_memsim::buffer::{Replacement, SetAssocBuffer};
+use gdr_memsim::buffer::WriteOnceLru;
 
 use crate::calib::{
     dgl_kernels, dgl_message_bytes_per_edge, GpuParams, DRAM_ACCESS_BYTES, FEATURE_BYTES,
@@ -80,8 +94,49 @@ impl GpuSim {
     /// # Errors
     ///
     /// Returns [`GdrError::LengthMismatch`] if `graphs` is not
-    /// index-aligned with the workload descriptors.
+    /// index-aligned with the workload descriptors, and
+    /// [`GdrError::InvalidConfig`] if an edge message spans more than 256
+    /// L2 sectors (its tags would alias) or the execution writes more
+    /// than [`WriteOnceLru::MAX_WRITE_ONCE`] message sectors (the L2
+    /// model's per-set counters could wrap).
     pub fn try_execute(&self, workload: &Workload, graphs: &[BipartiteGraph]) -> GdrResult<GpuRun> {
+        let p = self.params;
+        let mut l2 = WriteOnceLru::with_capacity(p.l2_bytes / p.l2_sector, p.l2_ways);
+        self.model(workload, graphs, |gi, g, sectors| {
+            let mut pass = GatherPass::default();
+            let mut edge_idx = 0u64;
+            for d in 0..g.dst_count() {
+                for &s in g.in_neighbors(d) {
+                    for sector in 0..sectors.per_feature {
+                        let tag = (gi << 48) | ((s as u64) << 8) | sector;
+                        pass.accesses += 1;
+                        if l2.access(tag) {
+                            pass.hits += 1;
+                        } else {
+                            pass.miss_bytes += p.l2_sector as u64;
+                        }
+                    }
+                    // DGL's COO path writes the per-edge message right after
+                    // the gather; the stream pollutes L2 in place, and each
+                    // of its sectors is unique, touched once.
+                    for sector in 0..sectors.per_message {
+                        l2.write_once(MESSAGE_TAG | (gi << 48) | (edge_idx << 8) | sector);
+                    }
+                    edge_idx += 1;
+                }
+            }
+            pass
+        })
+    }
+
+    /// Runs the model with `na_pass(gi, graph, sectors)` as the L2
+    /// simulation of semantic graph `gi`'s NA stage.
+    fn model(
+        &self,
+        workload: &Workload,
+        graphs: &[BipartiteGraph],
+        mut na_pass: impl FnMut(u64, &BipartiteGraph, Sectors) -> GatherPass,
+    ) -> GdrResult<GpuRun> {
         GdrError::check_aligned(
             "workload graph descriptors",
             workload.graphs().len(),
@@ -91,9 +146,13 @@ impl GpuSim {
         let model = *workload.model();
         let attention = model.kind.uses_attention();
         let (k_fp, k_na, k_sf) = dgl_kernels(attention);
-        let sectors_per_feature = (FEATURE_BYTES / p.l2_sector).max(1);
-        let mut l2 =
-            SetAssocBuffer::with_capacity(p.l2_bytes / p.l2_sector, p.l2_ways, Replacement::Lru);
+        let msg_per_edge = dgl_message_bytes_per_edge(attention, model.heads);
+        let sectors = Sectors {
+            per_feature: (FEATURE_BYTES / p.l2_sector).max(1) as u64,
+            per_message: (msg_per_edge / p.l2_sector as u64).max(1),
+        };
+        let edges = graphs.iter().map(|g| g.edge_count() as u64).sum();
+        check_message_sectors(edges, sectors.per_message)?;
 
         let mut stage = StageBreakdown::default();
         let mut dram_bytes: u64 = 0;
@@ -139,39 +198,15 @@ impl GpuSim {
 
             // ---- NA: sector-level L2 simulation of the source gathers,
             //      plus DGL's materialized per-edge message traffic ----
-            let mut gather_miss_bytes = 0u64;
-            let msg_per_edge = dgl_message_bytes_per_edge(attention, model.heads);
-            let msg_sectors = (msg_per_edge as usize / p.l2_sector).max(1);
-            let mut edge_idx = 0u64;
-            for d in 0..g.dst_count() {
-                for &s in g.in_neighbors(d) {
-                    for sector in 0..sectors_per_feature {
-                        let tag = ((gi as u64) << 48) | ((s as u64) << 8) | sector as u64;
-                        na_gather_accesses += 1;
-                        if l2.access(tag).is_hit() {
-                            na_gather_hits += 1;
-                        } else {
-                            gather_miss_bytes += p.l2_sector as u64;
-                        }
-                    }
-                    // DGL's COO path writes the per-edge message right after
-                    // the gather; the stream pollutes L2 in place.
-                    for sector in 0..msg_sectors {
-                        let tag = 0x8000_0000_0000_0000
-                            | ((gi as u64) << 48)
-                            | (edge_idx << 8)
-                            | sector as u64;
-                        l2.access(tag);
-                    }
-                    edge_idx += 1;
-                }
-            }
+            let pass = na_pass(gi as u64, g, sectors);
+            na_gather_accesses += pass.accesses;
+            na_gather_hits += pass.hits;
             // the NA (and SF) stages repeat every layer over the same
             // topology, with the same per-layer traffic profile
             let layers = model.layers as u64;
             let message_bytes = sgw.edges as u64 * msg_per_edge * layers;
             let accum_bytes = sgw.touched_dst as u64 * FEATURE_BYTES as u64 * 2 * layers;
-            let gather_bytes = gather_miss_bytes * layers;
+            let gather_bytes = pass.miss_bytes * layers;
             let t_na_gather = gather_bytes as f64 / (p.mem_bw * p.gather_eff) * 1e9;
             let t_na_stream =
                 (message_bytes + accum_bytes) as f64 / (p.mem_bw * p.stream_eff) * 1e9;
@@ -213,6 +248,42 @@ impl GpuSim {
     }
 }
 
+/// Tag bit of DGL's per-edge message sectors, which gathered feature
+/// sectors never set.
+const MESSAGE_TAG: u64 = 1 << 63;
+
+/// Checks that `edges` messages of `per_message` sectors each get unique
+/// tags (the sector index fits the tag's low 8 bits) and stay within
+/// the write-once lines [`WriteOnceLru`] counts exactly.
+fn check_message_sectors(edges: u64, per_message: u64) -> GdrResult<()> {
+    let reason = if per_message > 1 << 8 {
+        format!("{per_message} sectors per edge message overflow the tag's 8-bit sector field")
+    } else if edges.saturating_mul(per_message) > WriteOnceLru::MAX_WRITE_ONCE {
+        format!(
+            "{edges} edges × {per_message} message sectors exceed the L2 model's {} write-once lines",
+            WriteOnceLru::MAX_WRITE_ONCE
+        )
+    } else {
+        return Ok(());
+    };
+    Err(GdrError::invalid_config("message sectors", reason))
+}
+
+/// L2 sectors per gathered feature and per edge message.
+#[derive(Debug, Clone, Copy)]
+struct Sectors {
+    per_feature: u64,
+    per_message: u64,
+}
+
+/// NA-stage L2 observables of one semantic graph's gathers.
+#[derive(Debug, Default)]
+struct GatherPass {
+    accesses: u64,
+    hits: u64,
+    miss_bytes: u64,
+}
+
 impl Platform for GpuSim {
     fn name(&self) -> &str {
         self.params.name
@@ -240,11 +311,108 @@ mod tests {
     use crate::calib::{A100, T4};
     use gdr_hetgraph::datasets::Dataset;
     use gdr_hgnn::model::{ModelConfig, ModelKind};
+    use gdr_memsim::buffer::{Replacement, SetAssocBuffer};
 
     fn run_on(params: GpuParams, kind: ModelKind, d: Dataset, scale: f64) -> GpuRun {
         let het = d.build_scaled(1, scale);
         let w = Workload::from_hetero(ModelConfig::paper(kind), &het);
         GpuSim::new(params).execute(&w, &het.all_semantic_graphs())
+    }
+
+    /// The per-sector L2 loop the model ran before message sectors were
+    /// counted per set: every sector, gathered or written, goes through
+    /// an LRU [`SetAssocBuffer`]. Kept as the exactness oracle.
+    fn reference_execute(
+        sim: &GpuSim,
+        workload: &Workload,
+        graphs: &[BipartiteGraph],
+    ) -> GdrResult<GpuRun> {
+        let p = sim.params;
+        let mut l2 =
+            SetAssocBuffer::with_capacity(p.l2_bytes / p.l2_sector, p.l2_ways, Replacement::Lru);
+        sim.model(workload, graphs, |gi, g, sectors| {
+            let mut pass = GatherPass::default();
+            let mut edge_idx = 0u64;
+            for d in 0..g.dst_count() {
+                for &s in g.in_neighbors(d) {
+                    for sector in 0..sectors.per_feature {
+                        let tag = (gi << 48) | ((s as u64) << 8) | sector;
+                        pass.accesses += 1;
+                        if l2.access(tag).is_hit() {
+                            pass.hits += 1;
+                        } else {
+                            pass.miss_bytes += p.l2_sector as u64;
+                        }
+                    }
+                    for sector in 0..sectors.per_message {
+                        let tag = 0x8000_0000_0000_0000 | (gi << 48) | (edge_idx << 8) | sector;
+                        l2.access(tag);
+                    }
+                    edge_idx += 1;
+                }
+            }
+            pass
+        })
+    }
+
+    #[test]
+    fn write_once_l2_matches_the_per_sector_reference() {
+        // a 64 KiB L2 (128 sets × 16 ways) thrashes at test scale, so
+        // message sectors decide which gathers hit
+        let mut thrashed = 0;
+        for params in [T4, A100] {
+            let params = GpuParams {
+                l2_bytes: 64 << 10,
+                ..params
+            };
+            let sim = GpuSim::new(params);
+            for d in [Dataset::Acm, Dataset::Imdb, Dataset::Dblp] {
+                let het = d.build_scaled(7, 0.05);
+                let graphs = het.all_semantic_graphs();
+                for kind in [ModelKind::Rgcn, ModelKind::Rgat, ModelKind::SimpleHgn] {
+                    let w = Workload::from_hetero(ModelConfig::paper(kind), &het);
+                    let run = sim.try_execute(&w, &graphs).unwrap();
+                    let reference = reference_execute(&sim, &w, &graphs).unwrap();
+                    assert_eq!(run, reference, "{} {kind:?} {d:?}", params.name);
+                    thrashed += (run.na_l2_hit_rate > 0.0 && run.na_l2_hit_rate < 0.9) as usize;
+                }
+            }
+        }
+        assert_eq!(thrashed, 18, "every cell both hits and misses");
+    }
+
+    #[test]
+    fn message_sectors_past_the_write_once_bound_rejected() {
+        let rejected = |edges, per_message| {
+            matches!(
+                check_message_sectors(edges, per_message),
+                Err(GdrError::InvalidConfig {
+                    what: "message sectors",
+                    ..
+                })
+            )
+        };
+        // u32::MAX = 17 × 252645135: the last exact count, then one more
+        assert!(!rejected(252_645_135, 17));
+        assert!(rejected(252_645_136, 17));
+        assert!(rejected(u64::MAX, 2));
+        // sector indices 0..=255 fit the tag, 256 would alias the next edge
+        assert!(!rejected(1, 256));
+        assert!(rejected(1, 257));
+
+        // through the model, before any simulation: an RGAT message is
+        // 512 + 16·heads bytes, 31 sectors at 30 heads, 264 at 496
+        let het = Dataset::Acm.build_scaled(1, 0.05);
+        let graphs = het.all_semantic_graphs();
+        for (heads, ok) in [(30, true), (496, false)] {
+            let model = ModelConfig {
+                heads,
+                ..ModelConfig::paper(ModelKind::Rgat)
+            };
+            let w = Workload::from_hetero(model, &het);
+            let run = GpuSim::new(T4).try_execute(&w, &graphs);
+            assert_eq!(run.is_ok(), ok, "{heads} heads");
+        }
     }
 
     #[test]

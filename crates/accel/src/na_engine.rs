@@ -367,8 +367,8 @@ mod tests {
 
     #[test]
     fn small_buffer_thrashes_and_restructuring_helps() {
-        // The frontend's contract: the backbone fits on-chip while the full
-        // working set does not (DESIGN.md). Pick the capacity accordingly.
+        // The frontend's premise: the backbone fits on-chip while the full
+        // working set does not. Pick the capacity accordingly.
         let g = graph();
         let r = Restructurer::new()
             .backbone_strategy(BackboneStrategy::KonigExact)

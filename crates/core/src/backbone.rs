@@ -18,7 +18,8 @@ pub enum BackboneStrategy {
     /// The paper's Algorithm 2: matched vertices that have at least one
     /// unmatched neighbor enter the backbone, plus a totality fixup for
     /// edges both of whose endpoints the heuristic left out (possible when
-    /// a component admits a perfect matching; see DESIGN.md).
+    /// a component admits a perfect matching: no vertex there is
+    /// unmatched, so the heuristic selects none of it).
     #[default]
     Paper,
     /// Exact minimum vertex cover via König's construction

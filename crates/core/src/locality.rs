@@ -155,38 +155,6 @@ pub fn try_simulate_lru(
     schedule: &EdgeSchedule,
     capacity: usize,
 ) -> GdrResult<LocalityReport> {
-    try_simulate_lru_with(&mut LruScratch::default(), g, schedule, capacity)
-}
-
-/// Pooled state for [`try_simulate_lru_with`]: the resident map and the
-/// lazy-deletion recency heap, `clear()`ed per simulation but never
-/// dropped. Thread one through a long-lived
-/// [`Workspace`](crate::workspace::Workspace) (its `lru_scratch` field)
-/// and repeated locality analyses stop paying the per-call map and heap
-/// allocations.
-#[derive(Debug, Clone, Default)]
-pub struct LruScratch {
-    /// key -> last-use stamp of every resident feature.
-    resident: HashMap<(Side, u32), u64>,
-    /// Min-heap of `(stamp, key)` touches; entries whose stamp no longer
-    /// matches `resident[key]` are stale and skipped at eviction time.
-    heap: BinaryHeap<Reverse<(u64, Side, u32)>>,
-}
-
-/// [`try_simulate_lru`] over caller-pooled scratch. Results are
-/// identical to the transient-state path for every schedule and
-/// capacity (the reuse-vs-fresh property net pins this); only the
-/// allocation behavior differs.
-///
-/// # Errors
-///
-/// Returns [`GdrError::InvalidConfig`] if `capacity == 0`.
-pub fn try_simulate_lru_with(
-    scratch: &mut LruScratch,
-    g: &BipartiteGraph,
-    schedule: &EdgeSchedule,
-    capacity: usize,
-) -> GdrResult<LocalityReport> {
     if capacity == 0 {
         return Err(GdrError::invalid_config(
             "capacity",
@@ -194,18 +162,17 @@ pub fn try_simulate_lru_with(
         ));
     }
     let mut stamp: u64 = 0;
-    scratch.resident.clear();
-    scratch.heap.clear();
+    // key -> last-use stamp of every resident feature
+    let mut resident: HashMap<(Side, u32), u64> = HashMap::new();
+    // min-heap of `(stamp, key)` touches; entries whose stamp no longer
+    // matches `resident[key]` are stale and skipped at eviction time
+    let mut heap: BinaryHeap<Reverse<(u64, Side, u32)>> = BinaryHeap::new();
     let mut fetches_src = vec![0u32; g.src_count()];
     let mut fetches_dst = vec![0u32; g.dst_count()];
     let mut src_misses = 0usize;
     let mut dst_misses = 0usize;
 
-    let mut touch = |key: (Side, u32),
-                     resident: &mut HashMap<(Side, u32), u64>,
-                     heap: &mut BinaryHeap<Reverse<(u64, Side, u32)>>,
-                     miss_ctr: &mut usize,
-                     fetch_ctr: &mut u32| {
+    let mut touch = |key: (Side, u32), miss_ctr: &mut usize, fetch_ctr: &mut u32| {
         stamp += 1;
         if resident.insert(key, stamp).is_some() {
             // hit: the old heap entry goes stale, the new stamp wins
@@ -233,15 +200,11 @@ pub fn try_simulate_lru_with(
     for e in schedule.iter() {
         touch(
             (Side::Src, e.src.raw()),
-            &mut scratch.resident,
-            &mut scratch.heap,
             &mut src_misses,
             &mut fetches_src[e.src.index()],
         );
         touch(
             (Side::Dst, e.dst.raw()),
-            &mut scratch.resident,
-            &mut scratch.heap,
             &mut dst_misses,
             &mut fetches_dst[e.dst.index()],
         );
@@ -373,22 +336,5 @@ mod tests {
     fn zero_capacity_rejected() {
         let g = BipartiteGraph::from_pairs("g", 1, 1, &[(0, 0)]).unwrap();
         let _ = simulate_lru(&g, &EdgeSchedule::dst_major(&g), 0);
-    }
-
-    #[test]
-    fn pooled_scratch_matches_fresh_simulation() {
-        let mut scratch = LruScratch::default();
-        for seed in 0..6 {
-            let g = PowerLawConfig::new(80, 80, 640)
-                .dst_alpha(0.8)
-                .generate("g", seed);
-            for cap in [4, 24, 96] {
-                for sched in [EdgeSchedule::dst_major(&g), EdgeSchedule::random(&g, seed)] {
-                    let pooled = try_simulate_lru_with(&mut scratch, &g, &sched, cap).unwrap();
-                    let fresh = try_simulate_lru(&g, &sched, cap).unwrap();
-                    assert_eq!(pooled, fresh, "seed {seed} cap {cap} {}", sched.name());
-                }
-            }
-        }
     }
 }

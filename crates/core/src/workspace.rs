@@ -54,7 +54,6 @@ use gdr_memsim::buffer::{Replacement, SetAssocBuffer};
 use gdr_memsim::hbm::MemRequest;
 
 use crate::backbone::Backbone;
-use crate::locality::LruScratch;
 use crate::matching::Matching;
 use crate::recouple::{RestructuredSubgraphs, VertexPartition};
 
@@ -285,9 +284,6 @@ pub struct Workspace {
     /// request log and dense fetch counters) for the accelerator models'
     /// `_with` entry points.
     pub buffer_scratch: BufferScratch,
-    /// Pooled fully-associative LRU analysis state for
-    /// [`try_simulate_lru_with`](crate::locality::try_simulate_lru_with).
-    pub lru_scratch: LruScratch,
 }
 
 impl Workspace {

@@ -5,7 +5,7 @@
 //! visited/matching bitmaps gate the search, the Matching Buffer absorbs
 //! displaced FIFO state, and backbone candidates drain to the Candidate
 //! Buffer. The search itself runs greedy-then-phased (the hardware
-//! advances all free sources' searches concurrently; see DESIGN.md),
+//! advances all free sources' searches concurrently, one phase each),
 //! producing a maximum matching of oracle size — tests verify equality
 //! with Hopcroft-Karp — plus a cycle count derived from the
 //! micro-operations performed.

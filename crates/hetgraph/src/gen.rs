@@ -1,9 +1,9 @@
 //! Seeded random bipartite graph generators.
 //!
 //! Real HGB datasets are replaced by synthetic graphs with matching size
-//! statistics (see DESIGN.md, substitution table). The generators here are
-//! deterministic in their seed, so every experiment in the workspace is
-//! reproducible bit-for-bit.
+//! statistics (the Table 2 counts in [`crate::datasets`]). The generators
+//! here are deterministic in their seed, so every experiment in the
+//! workspace is reproducible bit-for-bit.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

@@ -2,9 +2,12 @@
 //!
 //! This is the hardware-accurate counterpart of `gdr-core`'s idealized LRU
 //! analysis: HiHGNN's NA buffer is organized set-associatively, so
-//! conflict misses add to the thrashing the paper measures in Fig. 2, and
-//! the GPU baselines' L2 is modelled the same way at sector granularity.
-//! The buffer is a pure cache model — residency, hits, misses and victims.
+//! conflict misses add to the thrashing the paper measures in Fig. 2. The
+//! GPU baselines' L2 is modelled at sector granularity by
+//! [`WriteOnceLru`], which places tags the same way but counts its
+//! write-once message lines per set instead of storing them. Both are
+//! pure cache models — residency, hits, misses and (for the buffer)
+//! victims.
 //! Per-tag fetch counting (the "replacement times of vertices' features"
 //! statistic) lives with its one reader, the NA engine's dense
 //! `gdr_core::workspace::FetchCounts`.
@@ -215,6 +218,128 @@ impl SetAssocBuffer {
     }
 }
 
+/// An LRU set-associative cache for streams that mix reused lines with
+/// *write-once* lines: tags written once and never touched again, like
+/// a GPU kernel's materialized per-edge messages.
+///
+/// A write-once line can never hit, so under LRU its only effect is to
+/// push the set's other lines one step down the recency stack (LRU's
+/// stack-distance property, Mattson et al. 1970). The cache therefore
+/// stores no write-once lines at all. Each set keeps its live tags
+/// newest first, each with a stamp, plus a counter `dead` of the
+/// write-once lines written into it so far. A live entry's stamp is the
+/// set's `dead` at its last touch, so `dead − stamp` write-once lines
+/// sit above it, and the entry at index `j` is resident iff
+/// `j + dead − stamp < ways`. Older entries have older stamps, so
+/// residency is monotone in `j` and a lookup stops at the first
+/// non-resident entry.
+///
+/// Hits and misses equal those of an LRU [`SetAssocBuffer`] of the same
+/// geometry fed each [`WriteOnceLru::write_once`] as an access to a
+/// fresh unique tag. Stamps are `u32`, so that holds while no set takes
+/// more than [`WriteOnceLru::MAX_WRITE_ONCE`] (2³² − 1) write-once
+/// lines.
+///
+/// # Examples
+///
+/// ```
+/// use gdr_memsim::buffer::WriteOnceLru;
+/// let mut l2 = WriteOnceLru::new(1, 2);
+/// assert!(!l2.access(7)); // cold miss
+/// l2.write_once(1 << 63); // 7 drops to the LRU way
+/// assert!(l2.access(7));
+/// l2.write_once(1 << 63 | 1);
+/// l2.write_once(1 << 63 | 2); // two lines above 7 fill both ways
+/// assert!(!l2.access(7));
+/// ```
+#[derive(Debug, Clone)]
+pub struct WriteOnceLru {
+    sets: usize,
+    // fastmod magic of `sets`, see `fastmod_magic`
+    set_magic: u64,
+    ways: usize,
+    // sets × ways live tags, set-major; within a set, index 0 is the newest
+    tags: Vec<u64>,
+    // the set's `dead` count when the matching tag was last touched
+    stamps: Vec<u32>,
+    // live entries per set, resident or not
+    fill: Vec<u32>,
+    // write-once lines written per set, wrapping
+    dead: Vec<u32>,
+}
+
+impl WriteOnceLru {
+    /// Most write-once lines one set takes with exact results.
+    pub const MAX_WRITE_ONCE: u64 = u32::MAX as u64;
+
+    /// Creates a cache with `sets × ways` lines.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sets == 0`, `ways == 0` or `sets > u32::MAX`.
+    pub fn new(sets: usize, ways: usize) -> Self {
+        check_geometry(sets, ways);
+        Self {
+            sets,
+            set_magic: fastmod_magic(sets),
+            ways,
+            tags: vec![0; sets * ways],
+            stamps: vec![0; sets * ways],
+            fill: vec![0; sets],
+            dead: vec![0; sets],
+        }
+    }
+
+    /// Builds a cache sized for `capacity_lines` total lines with the
+    /// given associativity (sets derived by division, at least 1), as
+    /// [`SetAssocBuffer::with_capacity`] does.
+    pub fn with_capacity(capacity_lines: usize, ways: usize) -> Self {
+        Self::new((capacity_lines / ways).max(1), ways)
+    }
+
+    /// Touches `tag`, fetching it on a miss; returns whether it hit.
+    pub fn access(&mut self, tag: u64) -> bool {
+        let set = self.set_of(tag);
+        let (ways, filled, dead) = (self.ways, self.fill[set] as usize, self.dead[set]);
+        let tags = &mut self.tags[set * ways..(set + 1) * ways];
+        let stamps = &mut self.stamps[set * ways..(set + 1) * ways];
+        let mut resident = 0;
+        while resident < filled && resident + (dead.wrapping_sub(stamps[resident]) as usize) < ways
+        {
+            if tags[resident] == tag {
+                tags[..=resident].rotate_right(1);
+                stamps[..=resident].rotate_right(1);
+                stamps[0] = dead;
+                return true;
+            }
+            resident += 1;
+        }
+        // every resident entry moves down one way (the last one, in a
+        // full set, out of it); the non-resident tail is dropped
+        let kept = (resident + 1).min(ways);
+        tags[..kept].rotate_right(1);
+        stamps[..kept].rotate_right(1);
+        tags[0] = tag;
+        stamps[0] = dead;
+        self.fill[set] = kept as u32;
+        false
+    }
+
+    /// Writes the write-once line `tag` into its set. The tag must be
+    /// unique: it is never looked up, only counted.
+    #[inline]
+    pub fn write_once(&mut self, tag: u64) {
+        let set = self.set_of(tag);
+        self.dead[set] = self.dead[set].wrapping_add(1);
+    }
+
+    /// Set of `tag`, placed exactly as in [`SetAssocBuffer`].
+    #[inline]
+    fn set_of(&self, tag: u64) -> usize {
+        fastmod(set_hash(tag), self.set_magic, self.sets as u32) as usize
+    }
+}
+
 fn check_geometry(sets: usize, ways: usize) {
     assert!(sets > 0 && ways > 0, "degenerate buffer geometry");
     assert!(u32::try_from(sets).is_ok(), "set count must fit in 32 bits");
@@ -372,6 +497,101 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Feeds one operation to the cache under test and to an LRU
+    /// [`SetAssocBuffer`] oracle of the same geometry, where a write-once
+    /// line is an access to a tag never seen before; returns the hit.
+    fn step(cache: &mut WriteOnceLru, oracle: &mut SetAssocBuffer, op: Op, ctx: &str) -> bool {
+        match op {
+            Op::WriteOnce(tag) => {
+                cache.write_once(tag);
+                assert!(!oracle.access(tag).is_hit(), "{ctx}: tag {tag} reused");
+                false
+            }
+            Op::Access(tag) => {
+                let hit = oracle.access(tag).is_hit();
+                assert_eq!(cache.access(tag), hit, "{ctx}: access {tag}");
+                hit
+            }
+        }
+    }
+
+    #[derive(Clone, Copy)]
+    enum Op {
+        Access(u64),
+        WriteOnce(u64),
+    }
+
+    #[test]
+    fn write_once_lru_matches_lru_buffer_on_mixed_streams() {
+        for seed in 0..48u64 {
+            for (sets, ways) in GEOMETRIES {
+                if sets * ways > 1 << 16 && seed % 16 != 0 {
+                    continue;
+                }
+                let ctx = format!("seed {seed} {sets}x{ways}");
+                let len = 3 * sets * ways + 64;
+                let stream = tag_stream(seed, sets * ways, seed % 2 == 1, len);
+                // a write-once line before an access with probability 2/5,
+                // 3/5 or 4/5 (a GPU edge writes 2-3× the sectors it reads)
+                let share = 1 + seed % 3;
+                let coins = tag_stream(seed + 1000, 2, false, len); // 0..=4
+                let mut cache = WriteOnceLru::new(sets, ways);
+                // half the seeds start the dead counters just below the
+                // u32 wrap, which stamp differences must not notice
+                if seed % 4 < 2 {
+                    cache.dead.fill(u32::MAX - 2 * ways as u32);
+                }
+                let mut oracle = SetAssocBuffer::new(sets, ways, Replacement::Lru);
+                let mut unique = 1u64 << 63;
+                for (i, (&t, &coin)) in stream.iter().zip(&coins).enumerate() {
+                    let ctx = format!("{ctx} op {i}");
+                    if coin <= share {
+                        unique += 1;
+                        step(&mut cache, &mut oracle, Op::WriteOnce(unique), &ctx);
+                    }
+                    step(&mut cache, &mut oracle, Op::Access(t), &ctx);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn write_once_lru_residency_boundary() {
+        // An entry `j` ways down with `k` write-once lines above it is
+        // resident iff j + k < ways: probe k = ways − j − 1 (the last
+        // hit) and k = ways − j (the first miss) for every j.
+        for (sets, ways) in GEOMETRIES {
+            if sets * ways > 1 << 16 {
+                continue;
+            }
+            let mut cache = WriteOnceLru::new(sets, ways);
+            let mut oracle = SetAssocBuffer::new(sets, ways, Replacement::Lru);
+            // fresh tags of set 0, reused and write-once
+            let mut reused = (0u64..).filter(|&t| set_index(t, sets) == 0);
+            let mut unique = (1u64 << 63..).filter(|&t| set_index(t, sets) == 0);
+            let mut hits = 0;
+            for j in 0..ways {
+                for k in [ways - j - 1, ways - j] {
+                    let ctx = format!("{sets}x{ways} j {j} k {k}");
+                    let x = reused.next().unwrap();
+                    let above = reused.by_ref().take(j).map(Op::Access);
+                    let dead = unique.by_ref().take(k).map(Op::WriteOnce);
+                    let ops: Vec<Op> = std::iter::once(Op::Access(x))
+                        .chain(above)
+                        .chain(dead)
+                        .collect();
+                    for op in ops {
+                        step(&mut cache, &mut oracle, op, &ctx);
+                    }
+                    let hit = step(&mut cache, &mut oracle, Op::Access(x), &ctx);
+                    assert_eq!(hit, j + k < ways, "{ctx}");
+                    hits += hit as usize;
+                }
+            }
+            assert_eq!(hits, ways, "{sets}x{ways}");
         }
     }
 

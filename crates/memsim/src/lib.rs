@@ -6,7 +6,8 @@
 //!   substitute): channels, banks, open-row tracking, DDR timing and
 //!   bandwidth accounting.
 //! * [`buffer`] — set-associative on-chip buffer (LRU/FIFO), the NA
-//!   buffer and GPU L2 model.
+//!   buffer model, and the GPU L2 model that counts write-once lines
+//!   instead of storing them.
 //! * [`fifo`] — bounded hardware FIFOs with stall/occupancy accounting.
 //! * [`hashtable`] — the Decoupler's set-associative hash table.
 //! * [`cacti_lite`] — analytic area / power estimation at TSMC 12 nm
@@ -32,7 +33,7 @@ pub mod fifo;
 pub mod hashtable;
 pub mod hbm;
 
-pub use buffer::{Access, BufferStats, Replacement, SetAssocBuffer};
+pub use buffer::{Access, BufferStats, Replacement, SetAssocBuffer, WriteOnceLru};
 pub use cacti_lite::{CactiLite, MacroEstimate, TechNode};
 pub use fifo::{FifoStats, HwFifo};
 pub use hashtable::{HashTable, HashTableStats};

@@ -6,7 +6,8 @@
 //! peak bytes each `GpuSim::try_execute` call allocates above the live
 //! heap at its start. The peak must be identical at both scales — the
 //! cache model holds O(L2 lines) of state whatever the edge count — and
-//! no larger than the L2's tag array plus a small constant.
+//! no larger than the L2's per-line state (a 64-bit tag and a 32-bit
+//! stamp) plus a quarter.
 //!
 //! This lives in its own integration-test binary because a global
 //! allocator is process-wide: a single `#[test]` keeps other tests'
@@ -91,7 +92,7 @@ fn gpu_model_memory_is_bounded_by_l2_lines_not_edges() {
                 })
             })
             .collect();
-        let tag_bytes = params.l2_bytes / params.l2_sector * 8;
+        let line_bytes = params.l2_bytes / params.l2_sector * (8 + 4);
         assert_eq!(
             peaks[0],
             peaks[1],
@@ -101,8 +102,8 @@ fn gpu_model_memory_is_bounded_by_l2_lines_not_edges() {
             edges(1)
         );
         assert!(
-            peaks[0] <= tag_bytes + tag_bytes / 4,
-            "{}: peak {} B exceeds the L2 tag array ({tag_bytes} B) by more than a quarter",
+            peaks[0] <= line_bytes + line_bytes / 4,
+            "{}: peak {} B exceeds the L2 tag and stamp arrays ({line_bytes} B) by more than a quarter",
             params.name,
             peaks[0]
         );
