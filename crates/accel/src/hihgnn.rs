@@ -143,23 +143,23 @@ impl HiHgnnRun {
 #[derive(Debug)]
 pub struct HiHgnnSim {
     cfg: HiHgnnConfig,
-    /// Pooled per-execution state — the NA buffer scratch, the DRAM
-    /// request trace, and the lane cycle counters — `clear()`ed at each
-    /// [`HiHgnnSim::try_execute`] but never dropped, so repeated
-    /// executions on one sim reuse capacity. Behind a mutex because the
-    /// `Platform` trait executes through `&self`; uncontended in
-    /// practice (each worker lane owns its own sim).
+    /// Pooled per-execution state — the NA buffer scratch and the lane
+    /// cycle counters — `clear()`ed at each [`HiHgnnSim::try_execute`]
+    /// but never dropped, so repeated executions on one sim reuse
+    /// capacity. Behind a mutex because the `Platform` trait executes
+    /// through `&self`; uncontended in practice (each worker lane owns
+    /// its own sim).
     scratch: Mutex<HiHgnnScratch>,
 }
 
-/// The pooled state of one [`HiHgnnSim`].
+/// The pooled state of one [`HiHgnnSim`]. No DRAM trace is kept: every
+/// request is issued to the execution's [`HbmModel`] where it is made.
 #[derive(Debug, Default)]
 struct HiHgnnScratch {
     /// NA buffer, per-wave request log and fetch counts; the counts
-    /// aggregate across waves within one execution.
+    /// aggregate across waves within one execution. The wave's log is
+    /// kept because it is issued once per layer.
     na: BufferScratch,
-    /// Full-execution DRAM request trace.
-    requests: Vec<MemRequest>,
     /// Per-lane cycle accumulators.
     lane_cycles: Vec<u64>,
 }
@@ -270,13 +270,8 @@ impl HiHgnnSim {
 
         let mut hbm = HbmModel::new(self.cfg.hbm.clone());
         let mut guard = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
-        let HiHgnnScratch {
-            na,
-            requests,
-            lane_cycles,
-        } = &mut *guard;
+        let HiHgnnScratch { na, lane_cycles } = &mut *guard;
         na.reset();
-        requests.clear();
         lane_cycles.clear();
         lane_cycles.resize(self.cfg.lanes, 0);
         let mut stage = StageBreakdown::default();
@@ -284,6 +279,9 @@ impl HiHgnnSim {
         let mut na_accesses = 0u64;
         let mut prev_types: Option<(usize, usize)> = None;
         let mut total_edges = 0usize;
+        // Every request is issued at cycle 0 as it is made; the memory
+        // makespan is the latest completion.
+        let mut mem_makespan = 0u64;
 
         // Lanes execute `lanes` semantic graphs concurrently (one wave),
         // contending for the shared NA buffer.
@@ -314,14 +312,16 @@ impl HiHgnnSim {
                         (nnz * model.hidden_dim as u64, nnz * 8)
                     };
                     fp_macs += macs;
-                    push_stream(
-                        &mut *requests,
+                    issue_stream(
+                        &mut hbm,
+                        &mut mem_makespan,
                         RAW_BASE + ty as u64 * 0x0800_0000,
                         read_bytes,
                         false,
                     );
-                    push_stream(
-                        &mut *requests,
+                    issue_stream(
+                        &mut hbm,
+                        &mut mem_makespan,
                         PROJ_BASE + ty as u64 * 0x0080_0000,
                         count as u64 * FEATURE_BYTES as u64,
                         true,
@@ -333,8 +333,9 @@ impl HiHgnnSim {
                 if deep > 0 {
                     let touched = (sgw.touched_src + sgw.touched_dst) as u64;
                     fp_macs += deep * touched * (model.hidden_dim * model.hidden_dim) as u64;
-                    push_stream(
-                        &mut *requests,
+                    issue_stream(
+                        &mut hbm,
+                        &mut mem_makespan,
                         PROJ_BASE + 0x4000_0000 + gi as u64 * 0x0100_0000,
                         deep * touched * FEATURE_BYTES as u64 * 2,
                         false,
@@ -345,14 +346,16 @@ impl HiHgnnSim {
                 // ---- NA / SF compute (SIMD), charged per lane ----
                 let na_cycles = (workload.na_ops(sgw) * layers).div_ceil(self.cfg.simd_ops);
                 let sf_bytes = sgw.touched_dst as u64 * FEATURE_BYTES as u64 * layers;
-                push_stream(
-                    &mut *requests,
+                issue_stream(
+                    &mut hbm,
+                    &mut mem_makespan,
                     OUT_BASE + gi as u64 * 0x0100_0000,
                     sf_bytes,
                     false,
                 );
-                push_stream(
-                    &mut *requests,
+                issue_stream(
+                    &mut hbm,
+                    &mut mem_makespan,
                     OUT_BASE + 0x8000_0000 + gi as u64 * 0x0100_0000,
                     sf_bytes,
                     true,
@@ -383,11 +386,11 @@ impl HiHgnnSim {
             na_hits += trace.hits * layers;
             na_accesses += trace.accesses * layers;
             for _ in 0..layers {
-                requests.extend(na.requests.iter().copied());
+                let end = hbm.drain_trace(0, na.requests.iter().copied());
+                mem_makespan = mem_makespan.max(end);
             }
         }
 
-        let mem_makespan = hbm.drain_trace(0, requests.iter().copied());
         let compute_cycles = lane_cycles.iter().copied().max().unwrap_or(0);
         // pipeline fill/drain overhead across the stage pipeline
         let fill = 2_000u64;
@@ -451,16 +454,18 @@ impl Platform for HiHgnnSim {
     }
 }
 
-/// Appends a streaming (sequential) transfer as 256 B bursts.
-fn push_stream(requests: &mut Vec<MemRequest>, base: u64, bytes: u64, write: bool) {
+/// Issues a streaming (sequential) transfer to `hbm` as 256 B bursts
+/// at cycle 0, raising `makespan` to the latest completion.
+fn issue_stream(hbm: &mut HbmModel, makespan: &mut u64, base: u64, bytes: u64, write: bool) {
     let mut off = 0;
     while off < bytes {
         let chunk = (bytes - off).min(256) as u32;
-        requests.push(if write {
+        let req = if write {
             MemRequest::write(base + off, chunk)
         } else {
             MemRequest::read(base + off, chunk)
-        });
+        };
+        *makespan = (*makespan).max(hbm.access_at(0, req));
         off += chunk as u64;
     }
 }

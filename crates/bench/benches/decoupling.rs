@@ -2,6 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gdr_core::matching::{fifo_matching, greedy_matching, hopcroft_karp};
+use gdr_core::workspace::Workspace;
 use gdr_frontend::config::FrontendConfig;
 use gdr_frontend::decoupler::Decoupler;
 use gdr_hetgraph::datasets::Dataset;
@@ -44,7 +45,8 @@ fn bench(c: &mut Criterion) {
         &g2,
         |b, g| {
             let d = Decoupler::new(FrontendConfig::default());
-            b.iter(|| d.decouple(g))
+            let mut ws = Workspace::new();
+            b.iter(|| d.decouple_with(&mut ws, g))
         },
     );
     group.finish();

@@ -4,6 +4,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use gdr_core::backbone::{Backbone, BackboneStrategy};
 use gdr_core::matching::hopcroft_karp;
 use gdr_core::recouple::RestructuredSubgraphs;
+use gdr_core::workspace::Workspace;
 use gdr_frontend::config::FrontendConfig;
 use gdr_frontend::recoupler::Recoupler;
 use gdr_hetgraph::datasets::Dataset;
@@ -37,7 +38,9 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("recoupler_hw_model", |b| {
         let r = Recoupler::new(FrontendConfig::default());
-        b.iter(|| r.recouple(&g2, &m))
+        let mut ws = Workspace::new();
+        ws.matching = m.clone();
+        b.iter(|| r.recouple_with(&mut ws, &g2))
     });
     group.finish();
 }

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gdr_core::restructure::Restructurer;
 use gdr_frontend::config::FrontendConfig;
-use gdr_frontend::pipeline::FrontendPipeline;
+use gdr_frontend::session::Session;
 use gdr_hetgraph::datasets::Dataset;
 use std::time::Duration;
 
@@ -24,8 +24,8 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::new("frontend_hw", d.name()),
             &graphs,
             |b, gs| {
-                let p = FrontendPipeline::new(FrontendConfig::default());
-                b.iter(|| p.process_all(gs))
+                let s = Session::new(FrontendConfig::default(), gs);
+                b.iter(|| s.process())
             },
         );
     }

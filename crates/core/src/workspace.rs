@@ -17,12 +17,7 @@
 //! [`BipartiteGraph::rebuild_from_pairs`](gdr_hetgraph::BipartiteGraph::rebuild_from_pairs).
 //! At steady state — once every buffer has grown to the largest graph
 //! seen — a restructuring pass performs **zero heap allocation** for
-//! its intermediates. Retained products are pooled too: DRAM request
-//! logs draw from [`Workspace::take_request_log`] and return through
-//! [`Workspace::recycle_request_log`], so replay-heavy callers (the
-//! serving cost model re-measures every cell per harness) recycle the
-//! log storage instead of reallocating it per replay; only an owned
-//! schedule still allocates.
+//! its intermediates; only an owned schedule still allocates.
 //!
 //! Results are byte-identical to the allocating paths, which remain
 //! available as thin wrappers constructing a transient workspace; a
@@ -274,12 +269,6 @@ pub struct Workspace {
     /// [`Restructurer::restructure_with`](crate::restructure::Restructurer::restructure_with)
     /// this holds the restructured edge order.
     pub edges: Vec<Edge>,
-    /// Retired DRAM request-log vectors, cleared but with their
-    /// capacity intact. The frontend models take a log per stage
-    /// through [`Workspace::take_request_log`] and callers that retire
-    /// whole runs hand the storage back with
-    /// [`Workspace::recycle_request_log`].
-    pub request_pool: Vec<Vec<MemRequest>>,
     /// Pooled NA-buffer simulation state (set-associative buffer,
     /// request log and dense fetch counters) for the accelerator models'
     /// `_with` entry points.
@@ -291,20 +280,6 @@ impl Workspace {
     /// grow to the working-set size over the first graphs processed.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Takes an empty DRAM request-log vector: pooled storage when a
-    /// retired log has been recycled, a fresh vector otherwise.
-    pub fn take_request_log(&mut self) -> Vec<MemRequest> {
-        self.request_pool.pop().unwrap_or_default()
-    }
-
-    /// Returns a retired request log to the pool: the contents are
-    /// cleared, the capacity is kept for the next
-    /// [`Workspace::take_request_log`].
-    pub fn recycle_request_log(&mut self, mut log: Vec<MemRequest>) {
-        log.clear();
-        self.request_pool.push(log);
     }
 }
 
@@ -329,23 +304,6 @@ mod tests {
             "shrinking graphs must not shed capacity"
         );
         assert_eq!(ws.matching.pair_src().len(), 10);
-    }
-
-    #[test]
-    fn request_logs_recycle_with_their_capacity() {
-        let mut ws = Workspace::new();
-        // empty pool hands out a fresh vector
-        let mut log = ws.take_request_log();
-        assert!(log.is_empty() && log.capacity() == 0);
-        log.extend((0..100).map(|i| MemRequest::read(i * 64, 64)));
-        let cap = log.capacity();
-        ws.recycle_request_log(log);
-        // the recycled storage comes back cleared, capacity intact
-        let reused = ws.take_request_log();
-        assert!(reused.is_empty());
-        assert_eq!(reused.capacity(), cap, "recycling must keep capacity");
-        // pool drained again: the next take is fresh
-        assert_eq!(ws.take_request_log().capacity(), 0);
     }
 
     #[test]

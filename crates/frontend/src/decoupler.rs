@@ -14,7 +14,6 @@ use gdr_core::matching::Matching;
 use gdr_core::workspace::{MatchScratch, Workspace};
 use gdr_hetgraph::BipartiteGraph;
 use gdr_memsim::hashtable::HashTable;
-use gdr_memsim::hbm::MemRequest;
 
 use crate::config::FrontendConfig;
 
@@ -37,20 +36,10 @@ pub struct DecouplerStats {
     pub candidates: u64,
     /// Candidate Buffer overflows spilled to DRAM.
     pub candidate_spills: u64,
-}
-
-/// Result of decoupling one semantic graph in hardware.
-#[derive(Debug, Clone)]
-pub struct DecouplerRun {
-    /// The maximum matching (backbone candidates).
-    pub matching: Matching,
-    /// Cycle count of the run.
-    pub cycles: u64,
-    /// Micro-operation counters.
-    pub stats: DecouplerStats,
-    /// DRAM traffic issued by the Decoupler (topology streaming,
-    /// candidate spills).
-    pub requests: Vec<MemRequest>,
+    /// DRAM bytes read (topology streaming).
+    pub dram_read_bytes: u64,
+    /// DRAM bytes written (candidate spills).
+    pub dram_write_bytes: u64,
 }
 
 /// Outcome of a workspace decoupling run
@@ -61,14 +50,8 @@ pub struct DecouplerRun {
 pub struct DecoupleOutcome {
     /// Cycle count of the run.
     pub cycles: u64,
-    /// Micro-operation counters.
+    /// Micro-operation counters, DRAM traffic included.
     pub stats: DecouplerStats,
-    /// DRAM traffic issued by the Decoupler. The log is owned — callers
-    /// retain it across graphs — but its storage is drawn from the
-    /// workspace's request pool, so retiring runs through
-    /// [`Workspace::recycle_request_log`] makes replays allocation-free
-    /// at steady state.
-    pub requests: Vec<MemRequest>,
 }
 
 /// The Decoupler model.
@@ -76,12 +59,14 @@ pub struct DecoupleOutcome {
 /// # Examples
 ///
 /// ```
+/// use gdr_core::workspace::Workspace;
 /// use gdr_hetgraph::BipartiteGraph;
 /// use gdr_frontend::config::FrontendConfig;
 /// use gdr_frontend::decoupler::Decoupler;
 /// let g = BipartiteGraph::from_pairs("g", 2, 2, &[(0, 0), (0, 1), (1, 0)])?;
-/// let run = Decoupler::new(FrontendConfig::default()).decouple(&g);
-/// assert_eq!(run.matching.size(), 2); // maximum matching
+/// let mut ws = Workspace::new();
+/// let run = Decoupler::new(FrontendConfig::default()).decouple_with(&mut ws, &g);
+/// assert_eq!(ws.matching.size(), 2); // maximum matching
 /// assert!(run.cycles > 0);
 /// # Ok::<(), gdr_hetgraph::GraphError>(())
 /// ```
@@ -89,11 +74,6 @@ pub struct DecoupleOutcome {
 pub struct Decoupler {
     cfg: FrontendConfig,
 }
-
-/// Decoupler topology DRAM region.
-const TOPO_BASE: u64 = 0xD000_0000;
-/// Candidate spill DRAM region.
-const SPILL_BASE: u64 = 0xE000_0000;
 
 impl Decoupler {
     /// Creates a Decoupler with the given configuration.
@@ -106,44 +86,20 @@ impl Decoupler {
         &self.cfg
     }
 
-    /// Runs graph decoupling on one semantic graph.
-    ///
-    /// Thin wrapper over [`Decoupler::decouple_with`] with a transient
-    /// workspace; callers decoupling many graphs should hold a
-    /// [`Workspace`] and use the `_with` path.
-    pub fn decouple(&self, g: &BipartiteGraph) -> DecouplerRun {
-        let mut ws = Workspace::new();
-        let out = self.decouple_with(&mut ws, g);
-        DecouplerRun {
-            matching: ws.matching,
-            cycles: out.cycles,
-            stats: out.stats,
-            requests: out.requests,
-        }
-    }
-
-    /// Runs graph decoupling through a reusable [`Workspace`]: the
-    /// matching is rebuilt in `ws.matching` and the bulk-synchronous
-    /// search reuses `ws.match_scratch`'s BFS arrays, so the modeled
-    /// datapath allocates only its per-run outputs (the DRAM request
-    /// log) at steady state. Results are identical to
-    /// [`Decoupler::decouple`].
+    /// Runs graph decoupling on one semantic graph through a reusable
+    /// [`Workspace`]: the matching is rebuilt in `ws.matching` and the
+    /// bulk-synchronous search reuses `ws.match_scratch`'s BFS arrays.
     pub fn decouple_with(&self, ws: &mut Workspace, g: &BipartiteGraph) -> DecoupleOutcome {
         let n_src = g.src_count();
         let n_dst = g.dst_count();
-        let mut requests = ws.take_request_log();
         let matching = &mut ws.matching;
         matching.reset(n_src, n_dst);
-        let mut stats = DecouplerStats::default();
-
-        // Epoch start: the topology streams in from HBM (Fig. 4 dataflow).
-        let topo_bytes = (g.edge_count() as u64) * 8;
-        let mut off = 0;
-        while off < topo_bytes {
-            let chunk = (topo_bytes - off).min(256) as u32;
-            requests.push(MemRequest::read(TOPO_BASE + off, chunk));
-            off += chunk as u64;
-        }
+        let mut stats = DecouplerStats {
+            // Epoch start: the topology streams in from HBM (Fig. 4
+            // dataflow).
+            dram_read_bytes: g.edge_count() as u64 * 8,
+            ..DecouplerStats::default()
+        };
 
         // Hash table allocating matching-FIFO slots to destinations.
         let mut hash = HashTable::new(self.cfg.hash_sets, self.cfg.hash_ways);
@@ -252,13 +208,7 @@ impl Decoupler {
         let cap = self.cfg.candidate_capacity_pairs() as u64;
         if stats.candidates > cap {
             stats.candidate_spills = stats.candidates - cap;
-            let bytes = stats.candidate_spills * 8;
-            let mut off = 0;
-            while off < bytes {
-                let chunk = (bytes - off).min(256) as u32;
-                requests.push(MemRequest::write(SPILL_BASE + off, chunk));
-                off += chunk as u64;
-            }
+            stats.dram_write_bytes = stats.candidate_spills * 8;
         }
 
         // Cycle model: the set-associative FIFO banks let `dispatch_width`
@@ -270,11 +220,7 @@ impl Decoupler {
         let serial_ops = stats.augment_steps + stats.matching_buffer_spills;
         let cycles = parallel_ops + serial_ops;
 
-        DecoupleOutcome {
-            cycles,
-            stats,
-            requests,
-        }
+        DecoupleOutcome { cycles, stats }
     }
 }
 
@@ -283,6 +229,14 @@ mod tests {
     use super::*;
     use gdr_core::matching::hopcroft_karp;
     use gdr_hetgraph::gen::PowerLawConfig;
+
+    /// Decouples `g` through a fresh workspace, returning the matching
+    /// with the outcome.
+    fn decouple(cfg: FrontendConfig, g: &BipartiteGraph) -> (Matching, DecoupleOutcome) {
+        let mut ws = Workspace::new();
+        let run = Decoupler::new(cfg).decouple_with(&mut ws, g);
+        (ws.matching, run)
+    }
 
     fn graph(seed: u64) -> BipartiteGraph {
         PowerLawConfig::new(200, 180, 900)
@@ -294,10 +248,10 @@ mod tests {
     fn hardware_matching_is_maximum() {
         for seed in 0..8 {
             let g = graph(seed);
-            let run = Decoupler::new(FrontendConfig::default()).decouple(&g);
+            let (matching, _) = decouple(FrontendConfig::default(), &g);
             let oracle = hopcroft_karp(&g);
-            assert!(run.matching.is_valid(&g), "seed {seed}");
-            assert_eq!(run.matching.size(), oracle.size(), "seed {seed}");
+            assert!(matching.is_valid(&g), "seed {seed}");
+            assert_eq!(matching.size(), oracle.size(), "seed {seed}");
         }
     }
 
@@ -307,21 +261,21 @@ mod tests {
         // augmenting phases still reach a maximum matching
         for seed in 0..8 {
             let g = graph(seed);
-            let hw = Decoupler::new(FrontendConfig::default()).decouple(&g);
+            let (hw, _) = decouple(FrontendConfig::default(), &g);
             let sw = hopcroft_karp(&g);
-            assert_eq!(hw.matching.size(), sw.size(), "seed {seed}");
-            assert!(hw.matching.is_valid(&g));
-            assert!(hw.matching.is_maximal(&g));
+            assert_eq!(hw.size(), sw.size(), "seed {seed}");
+            assert!(hw.is_valid(&g));
+            assert!(hw.is_maximal(&g));
         }
     }
 
     #[test]
     fn cycles_scale_with_work() {
-        let small = Decoupler::new(FrontendConfig::default()).decouple(&graph(1));
+        let (_, small) = decouple(FrontendConfig::default(), &graph(1));
         let big_graph = PowerLawConfig::new(2000, 1800, 9000)
             .dst_alpha(0.9)
             .generate("b", 1);
-        let big = Decoupler::new(FrontendConfig::default()).decouple(&big_graph);
+        let (_, big) = decouple(FrontendConfig::default(), &big_graph);
         assert!(big.cycles > small.cycles);
         assert!(big.stats.edge_probes >= big_graph.edge_count() as u64 / 4);
     }
@@ -329,51 +283,52 @@ mod tests {
     #[test]
     fn wider_dispatch_is_faster() {
         let g = graph(3);
-        let narrow = Decoupler::new(FrontendConfig {
-            dispatch_width: 1,
-            ..FrontendConfig::default()
-        })
-        .decouple(&g);
-        let wide = Decoupler::new(FrontendConfig {
-            dispatch_width: 16,
-            ..FrontendConfig::default()
-        })
-        .decouple(&g);
+        let (narrow_matching, narrow) = decouple(
+            FrontendConfig {
+                dispatch_width: 1,
+                ..FrontendConfig::default()
+            },
+            &g,
+        );
+        let (wide_matching, wide) = decouple(
+            FrontendConfig {
+                dispatch_width: 16,
+                ..FrontendConfig::default()
+            },
+            &g,
+        );
         assert!(wide.cycles < narrow.cycles);
-        assert_eq!(wide.matching.size(), narrow.matching.size());
+        assert_eq!(wide_matching.size(), narrow_matching.size());
     }
 
     #[test]
     fn topology_streamed_from_dram() {
         let g = graph(4);
-        let run = Decoupler::new(FrontendConfig::default()).decouple(&g);
-        let read_bytes: u64 = run
-            .requests
-            .iter()
-            .filter(|r| !r.write)
-            .map(|r| r.bytes as u64)
-            .sum();
-        assert_eq!(read_bytes, g.edge_count() as u64 * 8);
+        let (_, run) = decouple(FrontendConfig::default(), &g);
+        assert_eq!(run.stats.dram_read_bytes, g.edge_count() as u64 * 8);
     }
 
     #[test]
     fn candidate_overflow_spills() {
         // tiny candidate buffer forces spills
         let g = PowerLawConfig::new(400, 400, 2000).generate("s", 5);
-        let run = Decoupler::new(FrontendConfig {
-            candidate_buffer_bytes: 64, // 8 pairs
-            ..FrontendConfig::default()
-        })
-        .decouple(&g);
+        let (_, run) = decouple(
+            FrontendConfig {
+                candidate_buffer_bytes: 64, // 8 pairs
+                ..FrontendConfig::default()
+            },
+            &g,
+        );
         assert!(run.stats.candidate_spills > 0);
-        assert!(run.requests.iter().any(|r| r.write));
+        assert!(run.stats.dram_write_bytes > 0);
+        assert_eq!(run.stats.dram_write_bytes, run.stats.candidate_spills * 8);
     }
 
     #[test]
     fn empty_graph() {
         let g = BipartiteGraph::from_pairs("e", 4, 4, &[]).unwrap();
-        let run = Decoupler::new(FrontendConfig::default()).decouple(&g);
-        assert_eq!(run.matching.size(), 0);
+        let (matching, run) = decouple(FrontendConfig::default(), &g);
+        assert_eq!(matching.size(), 0);
         assert_eq!(run.stats.edge_probes, 0);
     }
 }

@@ -43,9 +43,9 @@ pub mod session;
 
 pub use area_power::FrontendAreaPower;
 pub use config::FrontendConfig;
-pub use decoupler::{DecoupleOutcome, Decoupler, DecouplerRun};
+pub use decoupler::{DecoupleOutcome, Decoupler};
 pub use pipeline::{FrontendPipeline, FrontendRun, GraphResult};
-pub use recoupler::{RecoupleOutcome, Recoupler, RecouplerRun};
+pub use recoupler::{RecoupleOutcome, Recoupler};
 pub use session::Session;
 // The reusable restructuring arena, re-exported so downstream layers
 // (serving, benches) can hold one without a direct gdr-core dependency.

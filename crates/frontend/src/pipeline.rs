@@ -10,7 +10,6 @@
 use gdr_core::schedule::EdgeSchedule;
 use gdr_core::workspace::Workspace;
 use gdr_hetgraph::{BipartiteGraph, GdrError, GdrResult};
-use gdr_memsim::hbm::MemRequest;
 
 use crate::config::FrontendConfig;
 use crate::decoupler::{Decoupler, DecouplerStats};
@@ -27,11 +26,9 @@ pub struct GraphResult {
     pub matching_size: usize,
     /// Backbone size selected by recoupling.
     pub backbone_size: usize,
-    /// DRAM traffic of the frontend for this graph.
-    pub requests: Vec<MemRequest>,
-    /// Decoupler counters.
+    /// Decoupler counters, its DRAM bytes included.
     pub decoupler_stats: DecouplerStats,
-    /// Recoupler counters.
+    /// Recoupler counters, its DRAM bytes included.
     pub recoupler_stats: RecouplerStats,
 }
 
@@ -67,12 +64,14 @@ impl FrontendRun {
         self.per_graph.iter().map(|g| g.cycles).sum()
     }
 
-    /// Total frontend DRAM bytes.
+    /// Total frontend DRAM bytes: both stages' reads and writes.
     pub fn total_bytes(&self) -> u64 {
         self.per_graph
             .iter()
-            .flat_map(|g| g.requests.iter())
-            .map(|r| r.bytes as u64)
+            .map(|g| {
+                let (d, r) = (&g.decoupler_stats, &g.recoupler_stats);
+                d.dram_read_bytes + d.dram_write_bytes + r.dram_read_bytes + r.dram_write_bytes
+            })
             .sum()
     }
 
@@ -98,18 +97,6 @@ impl FrontendRun {
             ("frontend_matching", self.total_matching() as f64),
             ("frontend_backbone", self.total_backbone() as f64),
         ]
-    }
-
-    /// Retires the run, returning every per-graph DRAM request log's
-    /// storage to `ws`'s request pool. Replay-heavy callers (the serving
-    /// cost model re-runs the restructuring pass per cell) recycle the
-    /// retired run before the next replay so the logs stop allocating at
-    /// steady state; callers that keep runs alive simply drop them as
-    /// before.
-    pub fn recycle_into(self, ws: &mut Workspace) {
-        for g in self.per_graph {
-            ws.recycle_request_log(g.requests);
-        }
     }
 
     /// Frontend cycles left exposed when overlapped with an accelerator
@@ -149,14 +136,18 @@ impl FrontendRun {
 /// # Examples
 ///
 /// ```
+/// use gdr_core::workspace::Workspace;
 /// use gdr_hetgraph::datasets::Dataset;
 /// use gdr_frontend::pipeline::FrontendPipeline;
 /// use gdr_frontend::config::FrontendConfig;
 ///
 /// let het = Dataset::Acm.build_scaled(1, 0.03);
-/// let graphs = het.all_semantic_graphs();
-/// let run = FrontendPipeline::new(FrontendConfig::default()).process_all(&graphs);
-/// assert_eq!(run.per_graph().len(), graphs.len());
+/// let pipeline = FrontendPipeline::new(FrontendConfig::default());
+/// let mut ws = Workspace::new();
+/// for g in het.all_semantic_graphs() {
+///     let r = pipeline.process_with(&mut ws, &g);
+///     assert!(r.schedule.is_permutation_of(&g));
+/// }
 /// ```
 #[derive(Debug, Clone)]
 pub struct FrontendPipeline {
@@ -185,21 +176,12 @@ impl FrontendPipeline {
 
     /// Restructures one semantic graph through a reusable [`Workspace`]:
     /// Decoupler and Recoupler intermediates (matching tables, BFS
-    /// arrays, partition FIFOs, subgraph CSRs) are rebuilt in place, and
-    /// the DRAM request log draws its storage from the workspace's
-    /// request pool (retire whole runs back into it with
-    /// [`FrontendRun::recycle_into`]), so at steady state only the
-    /// retained schedule allocates. Results are identical to
-    /// [`FrontendPipeline::process`].
+    /// arrays, vertex partition, subgraph CSRs) are rebuilt in place.
+    /// Results are identical to [`FrontendPipeline::process`].
     pub fn process_with(&self, ws: &mut Workspace, g: &BipartiteGraph) -> GraphResult {
         let dec = self.decoupler.decouple_with(ws, g);
         let matching_size = ws.matching.size();
         let rec = self.recoupler.recouple_with(ws, g);
-        let mut requests = dec.requests;
-        let mut rec_requests = rec.requests;
-        requests.append(&mut rec_requests);
-        // the Recoupler's log buffer is spent; hand its storage back
-        ws.recycle_request_log(rec_requests);
         // Decoupler and Recoupler are themselves pipelined (Fig. 4): the
         // Recoupler consumes candidates while the Decoupler works on the
         // remainder, so the stage time is dominated by the slower of the
@@ -210,39 +192,22 @@ impl FrontendPipeline {
             cycles,
             matching_size,
             backbone_size: ws.backbone.len(),
-            requests,
             decoupler_stats: dec.stats,
             recoupler_stats: rec.stats,
         }
-    }
-
-    /// Restructures every semantic graph of a dataset, eagerly, through
-    /// one reused workspace.
-    ///
-    /// This is the batch adapter over the streaming API: equivalent to
-    /// `Session::with_pipeline(self.clone(), graphs).process()`. Prefer
-    /// [`crate::session::Session`] when results should stream per graph
-    /// or fan out across cores.
-    pub fn process_all(&self, graphs: &[BipartiteGraph]) -> FrontendRun {
-        let mut ws = Workspace::new();
-        FrontendRun::from_results(
-            graphs
-                .iter()
-                .map(|g| self.process_with(&mut ws, g))
-                .collect(),
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Session;
     use gdr_hetgraph::datasets::Dataset;
 
     fn run() -> (Vec<BipartiteGraph>, FrontendRun) {
         let het = Dataset::Imdb.build_scaled(1, 0.05);
         let graphs = het.all_semantic_graphs();
-        let run = FrontendPipeline::new(FrontendConfig::default()).process_all(&graphs);
+        let run = Session::new(FrontendConfig::default(), &graphs).process();
         (graphs, run)
     }
 
@@ -291,7 +256,8 @@ mod tests {
     fn workspace_reuse_matches_fresh_processing() {
         // The hardware path through one long-lived workspace must be
         // indistinguishable from transient-workspace processing, graph
-        // by graph — schedules, cycles, requests, and both counter sets.
+        // by graph — schedules, cycles, and both counter sets with their
+        // DRAM bytes.
         let het = Dataset::Dblp.build_scaled(3, 0.05);
         let graphs = het.all_semantic_graphs();
         let pipeline = FrontendPipeline::new(FrontendConfig::default());
@@ -303,49 +269,9 @@ mod tests {
             assert_eq!(reused.cycles, fresh.cycles, "{}", g.name());
             assert_eq!(reused.matching_size, fresh.matching_size);
             assert_eq!(reused.backbone_size, fresh.backbone_size);
-            assert_eq!(reused.requests, fresh.requests, "{}", g.name());
             assert_eq!(reused.decoupler_stats, fresh.decoupler_stats);
             assert_eq!(reused.recoupler_stats, fresh.recoupler_stats);
         }
-    }
-
-    #[test]
-    fn recycled_runs_feed_the_request_pool_and_replays_stay_identical() {
-        let het = Dataset::Acm.build_scaled(2, 0.05);
-        let graphs = het.all_semantic_graphs();
-        let pipeline = FrontendPipeline::new(FrontendConfig::default());
-        let mut ws = Workspace::new();
-        let first = FrontendRun::from_results(
-            graphs
-                .iter()
-                .map(|g| pipeline.process_with(&mut ws, g))
-                .collect(),
-        );
-        let first_requests: Vec<Vec<_>> = first
-            .per_graph()
-            .iter()
-            .map(|g| g.requests.clone())
-            .collect();
-        first.recycle_into(&mut ws);
-        assert!(!ws.request_pool.is_empty(), "retired logs land in the pool");
-        let pooled = ws.request_pool.len();
-        // the replay drains the pool for its own logs and produces the
-        // byte-identical request streams
-        let second = FrontendRun::from_results(
-            graphs
-                .iter()
-                .map(|g| pipeline.process_with(&mut ws, g))
-                .collect(),
-        );
-        for (a, b) in first_requests.iter().zip(second.per_graph()) {
-            assert_eq!(a, &b.requests, "pooled storage must not change results");
-        }
-        second.recycle_into(&mut ws);
-        assert_eq!(
-            ws.request_pool.len(),
-            pooled,
-            "steady state: the replay reuses exactly the pooled vectors"
-        );
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! The streaming frontend session: lazy, per-graph restructuring.
 //!
-//! [`FrontendPipeline::process_all`] is an eager batch API: it
-//! restructures every semantic graph before the caller sees the first
-//! result. A [`Session`] is the lazy counterpart — it borrows the
-//! semantic graphs, restructures on demand ([`Session::iter`] streams
-//! one [`GraphResult`] per graph, in input order), and can fan the
-//! independent per-graph work out across cores
-//! ([`Session::par_process`]) with no extra cloning. Batch totals remain
-//! available by collecting the stream back into a [`FrontendRun`].
+//! A [`Session`] borrows a dataset's semantic graphs and restructures
+//! them through one [`FrontendPipeline`] on demand: [`Session::iter`]
+//! streams one [`GraphResult`] per graph, in input order;
+//! [`Session::process`] collects every result into a [`FrontendRun`]
+//! for batch totals; and [`Session::par_process`] fans the independent
+//! per-graph work out across cores with no extra cloning.
 //!
 //! Parallelism uses `std::thread::scope` with an atomic work queue
 //! rather than an external thread pool, so the crate stays
@@ -118,9 +116,8 @@ impl<'g> Session<'g> {
             .map(move |g| self.pipeline.process_with(&mut ws, g))
     }
 
-    /// Restructures every graph sequentially and aggregates the results
-    /// — the streaming equivalent of the old
-    /// [`FrontendPipeline::process_all`].
+    /// Restructures every graph sequentially, through one workspace,
+    /// and aggregates the results in input order.
     pub fn process(&self) -> FrontendRun {
         self.process_with(&mut Workspace::new())
     }
@@ -157,7 +154,7 @@ impl<'g> Session<'g> {
     /// is clamped to `1..=len()`: `workers == 0` (and `workers == 1`)
     /// degrade to the sequential path, and oversubscription beyond one
     /// worker per graph is pointless, so no caller discipline is needed.
-    pub fn par_process_with(&self, workers: usize) -> FrontendRun {
+    fn par_process_with(&self, workers: usize) -> FrontendRun {
         let n = self.graphs.len();
         let workers = workers.clamp(1, n.max(1));
         if workers <= 1 || n <= 1 {
@@ -210,9 +207,8 @@ mod tests {
     #[test]
     fn streaming_matches_batch_graph_for_graph() {
         let graphs = graphs();
-        let cfg = FrontendConfig::default();
-        let batch = FrontendPipeline::new(cfg.clone()).process_all(&graphs);
-        let session = Session::new(cfg, &graphs);
+        let session = Session::new(FrontendConfig::default(), &graphs);
+        let batch = session.process();
         let mut streamed = 0;
         for (b, s) in batch.per_graph().iter().zip(session.iter()) {
             assert_eq!(b.schedule, s.schedule);
@@ -237,7 +233,8 @@ mod tests {
             for (a, b) in seq.per_graph().iter().zip(par.per_graph()) {
                 assert_eq!(a.schedule, b.schedule, "workers={workers}");
                 assert_eq!(a.cycles, b.cycles, "workers={workers}");
-                assert_eq!(a.requests, b.requests, "workers={workers}");
+                assert_eq!(a.decoupler_stats, b.decoupler_stats, "workers={workers}");
+                assert_eq!(a.recoupler_stats, b.recoupler_stats, "workers={workers}");
             }
         }
     }

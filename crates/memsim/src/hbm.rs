@@ -324,6 +324,71 @@ mod tests {
         );
     }
 
+    /// `len` xorshift-drawn requests of 1..=512 B, reads and writes,
+    /// half continuing the previous burst (row hits), half scattered
+    /// over 1 MiB (row misses across every channel and bank).
+    fn request_stream(x: &mut u64, len: usize) -> Vec<MemRequest> {
+        let mut next = || {
+            *x ^= *x << 13;
+            *x ^= *x >> 7;
+            *x ^= *x << 17;
+            *x
+        };
+        let mut addr = 0;
+        (0..len)
+            .map(|_| {
+                let r = next();
+                addr = if r & 1 == 0 {
+                    addr + 256
+                } else {
+                    (r >> 8) % (1 << 20)
+                };
+                let bytes = 1 + (next() % 512) as u32;
+                if r & 2 == 0 {
+                    MemRequest::read(addr, bytes)
+                } else {
+                    MemRequest::write(addr, bytes)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn split_drains_equal_one_drain() {
+        // `drain_trace(0, ·)` folds `access_at(0, ·)` over the trace in
+        // order, so draining consecutive parts into one model must give
+        // the whole trace's makespan (the maximum over the parts) and
+        // its stats: callers may issue requests where they are made.
+        for seed in 0..48u64 {
+            let mut x = 2 * seed + 1;
+            let len = 1 + (seed as usize * 37) % 400;
+            let trace = request_stream(&mut x, len);
+            // up to five random cut points drawn from further addresses,
+            // plus both ends
+            let mut cuts: Vec<usize> = request_stream(&mut x, (seed % 6) as usize)
+                .iter()
+                .map(|r| r.addr as usize % (len + 1))
+                .chain([0, len])
+                .collect();
+            cuts.sort_unstable();
+            let cfg = if seed % 2 == 0 {
+                HbmConfig::hbm1_512gbps()
+            } else {
+                HbmConfig::gddr6_320gbps()
+            };
+            let mut whole = HbmModel::new(cfg.clone());
+            let expect = whole.drain_trace(0, trace.iter().copied());
+            let mut split = HbmModel::new(cfg);
+            let makespan = cuts
+                .windows(2)
+                .map(|w| split.drain_trace(0, trace[w[0]..w[1]].iter().copied()))
+                .max()
+                .expect("at least one part");
+            assert_eq!(makespan, expect, "seed {seed}, cuts {cuts:?}");
+            assert_eq!(split.stats(), whole.stats(), "seed {seed}, cuts {cuts:?}");
+        }
+    }
+
     #[test]
     fn writes_and_reads_tracked_separately() {
         let mut hbm = HbmModel::new(HbmConfig::hbm1_512gbps());

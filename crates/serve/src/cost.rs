@@ -159,10 +159,8 @@ impl CostModel {
         // One warm pipeline, re-bound per cell — the Session reuse hook —
         // and one restructuring workspace reused across every cell's
         // rebind replay, exactly as a serving replica holds them: the
-        // nine replays share matching tables, BFS arrays, subgraph CSR
-        // storage, and (via the request pool, refilled as each replay
-        // retires) the DRAM request logs, instead of reallocating them
-        // per cell.
+        // nine replays share matching tables, BFS arrays and subgraph
+        // CSR storage instead of reallocating them per cell.
         let warm_session = Session::new(FrontendConfig::default(), &[]);
         let mut ws = Workspace::new();
         let clock = FrontendConfig::default().clock_ghz;
@@ -208,12 +206,6 @@ impl CostModel {
                     footprint_bytes: run.report.dram_bytes,
                     bind_ns,
                 };
-            }
-            // This cell's replay is fully priced; retire its request
-            // logs into the workspace so the next cell's replay reuses
-            // the storage instead of reallocating it.
-            if let Some(fr) = frontend {
-                fr.recycle_into(&mut ws);
             }
         }
         Ok(Self {

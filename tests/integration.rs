@@ -5,7 +5,7 @@ use gdr::core::matching::hopcroft_karp;
 use gdr::core::restructure::Restructurer;
 use gdr::core::schedule::EdgeSchedule;
 use gdr::frontend::config::FrontendConfig;
-use gdr::frontend::pipeline::FrontendPipeline;
+use gdr::frontend::session::Session;
 use gdr::hetgraph::datasets::Dataset;
 use gdr::hgnn::model::{ModelConfig, ModelKind};
 use gdr::hgnn::reference::HgnnReference;
@@ -43,7 +43,7 @@ fn frontend_matches_software_restructuring_semantics() {
     for dataset in Dataset::ALL {
         let het = dataset.build_scaled(5, SCALE);
         let graphs = het.all_semantic_graphs();
-        let fe = FrontendPipeline::new(FrontendConfig::default()).process_all(&graphs);
+        let fe = Session::new(FrontendConfig::default(), &graphs).process();
         for (g, fr) in graphs.iter().zip(fe.per_graph()) {
             let oracle = hopcroft_karp(g);
             assert_eq!(

@@ -15,7 +15,7 @@ use gdr::core::restructure::{MatcherKind, Restructurer};
 use gdr::core::schedule::EdgeSchedule;
 use gdr::hetgraph::gen::PowerLawConfig;
 use gdr::hetgraph::BipartiteGraph;
-use gdr::prelude::{FrontendConfig, FrontendPipeline, Session};
+use gdr::prelude::{FrontendConfig, FrontendPipeline, FrontendRun, Session};
 
 const CASES: u64 = 64;
 
@@ -169,32 +169,45 @@ fn all_matchers_produce_covering_restructurings() {
 
 #[test]
 fn session_streaming_equals_batch_graph_for_graph() {
-    // The streaming Session API must be a pure re-packaging of the batch
-    // pipeline: same results, same order, on arbitrary graph sets —
-    // sequential or parallel.
+    // The streaming Session API must be a pure re-packaging of the
+    // pipeline run graph by graph on fresh workspaces: same results, same
+    // order, on arbitrary graph sets — streamed, sequential or parallel.
     for case in 0..CASES / 4 {
         let graphs: Vec<BipartiteGraph> = (0..(mix(case, 10) % 5))
             .map(|i| arb_graph(mix(case, 11 + i)))
             .collect();
         let cfg = FrontendConfig::default();
-        let batch = FrontendPipeline::new(cfg.clone()).process_all(&graphs);
+        let pipeline = FrontendPipeline::new(cfg.clone());
+        let batch = FrontendRun::from_results(graphs.iter().map(|g| pipeline.process(g)).collect());
         let session = Session::new(cfg, &graphs);
-
         let streamed: Vec<_> = session.iter().collect();
-        let parallel = session.par_process_with(4);
-        assert_eq!(streamed.len(), batch.per_graph().len(), "case {case}");
-        assert_eq!(
+        let sequential = session.process();
+        let parallel = session.par_process();
+        for n in [
+            streamed.len(),
+            sequential.per_graph().len(),
             parallel.per_graph().len(),
-            batch.per_graph().len(),
-            "case {case}"
-        );
+        ] {
+            assert_eq!(n, batch.per_graph().len(), "case {case}");
+        }
         for (i, b) in batch.per_graph().iter().enumerate() {
-            for s in [&streamed[i], &parallel.per_graph()[i]] {
+            for s in [
+                &streamed[i],
+                &sequential.per_graph()[i],
+                &parallel.per_graph()[i],
+            ] {
                 assert_eq!(b.schedule, s.schedule, "case {case}, graph {i}");
                 assert_eq!(b.cycles, s.cycles, "case {case}, graph {i}");
                 assert_eq!(b.matching_size, s.matching_size, "case {case}, graph {i}");
                 assert_eq!(b.backbone_size, s.backbone_size, "case {case}, graph {i}");
-                assert_eq!(b.requests, s.requests, "case {case}, graph {i}");
+                assert_eq!(
+                    b.decoupler_stats, s.decoupler_stats,
+                    "case {case}, graph {i}"
+                );
+                assert_eq!(
+                    b.recoupler_stats, s.recoupler_stats,
+                    "case {case}, graph {i}"
+                );
             }
         }
         // aggregates agree too
